@@ -35,7 +35,7 @@ def main() -> None:
     print(f"parameters: lam={params.lam} mu={params.mu} rho={params.rho}")
 
     t0 = time.time()
-    best_cost, plans = enumerate_optimal_routes(inst, max_nodes=5_000_000)
+    best_cost, plans = enumerate_optimal_routes(inst)
     print(f"oracle optimum: {best_cost} ({len(plans)} plans, {time.time() - t0:.1f}s)")
 
     t0 = time.time()

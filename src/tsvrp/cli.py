@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import decoder, hamiltonians, oracle, samplers
-from .instance import Instance, InstanceError, read_instance, validate_instance
+from .instance import Instance, InstanceError, read_instance, validate_instance, write_json
 from .qubo import BuildError, write_model
 
 EXIT_OK = 0
@@ -45,7 +45,6 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, sampler: bool = False) -> None:
         p.add_argument("--instance", required=True, help="instance document (JSON)")
-        p.add_argument("--model-kind", default=None, help="override the instance's model kind")
         p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="penalty weight")
         p.add_argument("--delta", type=float, default=0.0, help="baseline shift")
         p.add_argument("--out", required=True, help="output path or prefix")
@@ -71,7 +70,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="classical exhaustive optimum")
     common(p_oracle)
-    p_oracle.add_argument("--max-nodes", type=int, default=500_000)
+    p_oracle.add_argument("--max-nodes", type=int, default=oracle.DEFAULT_MAX_NODES)
 
     p_check = sub.add_parser("check", help="check a plan file against an instance")
     common(p_check)
@@ -91,11 +90,6 @@ def _load_instance(args) -> Instance:
         raise UsageError(f"instance file not found: {exc}") from exc
     except InstanceError as exc:
         raise UsageError(f"invalid instance: {exc}") from exc
-    if args.model_kind is not None and args.model_kind != inst.model_kind:
-        raise UsageError(
-            f"--model-kind {args.model_kind} conflicts with the instance's "
-            f"{inst.model_kind}; edit the document instead of forcing a kind"
-        )
     return inst
 
 
@@ -111,7 +105,6 @@ def _run_config(args, params: hamiltonians.PenaltyParameters | None, seed: int |
     config = {
         "command": args.command,
         "instance": args.instance,
-        "model_kind": args.model_kind,
         "lambda": args.lam,
         "delta": args.delta,
         "mode": args.mode,
@@ -133,12 +126,6 @@ def _run_config(args, params: hamiltonians.PenaltyParameters | None, seed: int |
             "uniform_cost": params.uniform_cost,
         }
     return config
-
-
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_build(args) -> int:
@@ -190,7 +177,7 @@ def cmd_solve(args) -> int:
     samplers.write_sample_set(sample_set, f"{args.out}.samples.json", extra={"run_config": config})
     stats_doc = result.to_document()
     stats_doc["run_config"] = config
-    _write_json(f"{args.out}.stats.json", stats_doc)
+    write_json(f"{args.out}.stats.json", stats_doc)
     with open(f"{args.out}.stats.csv", "w", encoding="utf-8") as fh:
         fh.write(result.to_csv())
     print(f"free variables: {model.n_vars}")
@@ -219,7 +206,7 @@ def cmd_oracle(args) -> int:
     except oracle.SearchCapExceeded as exc:
         raise UsageError(f"refusing: {exc}") from exc
     config = _run_config(args, None, seed=None)
-    _write_json(
+    write_json(
         args.out,
         {
             "optimal_cost": best_cost,
@@ -243,7 +230,7 @@ def cmd_check(args) -> int:
         raise UsageError(f"unreadable plan: {exc}") from exc
     report = decoder.check_feasibility(plan, inst, mode=args.mode)
     config = _run_config(args, None, seed=None)
-    _write_json(
+    write_json(
         args.out,
         {
             "mode": args.mode,
@@ -265,14 +252,14 @@ def cmd_stats(args) -> int:
     model = hamiltonians.build_model(inst, params)
     try:
         sample_set = samplers.read_sample_set(args.samples, model=model)
-    except OSError as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"unreadable sample set: {exc}") from exc
     result = decoder.stats(sample_set, model.catalogue, inst, mode=args.mode)
     config = _run_config(args, params, seed=None)
     stats_doc = result.to_document()
     stats_doc["run_config"] = config
     stats_doc["rejected_records"] = sample_set.metadata.get("rejected_records", 0)
-    _write_json(f"{args.out}.stats.json", stats_doc)
+    write_json(f"{args.out}.stats.json", stats_doc)
     with open(f"{args.out}.stats.csv", "w", encoding="utf-8") as fh:
         fh.write(result.to_csv())
     print(f"samples: {result.total_samples}")

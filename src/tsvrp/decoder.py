@@ -207,20 +207,20 @@ def check_feasibility(
     plan: RoutePlan,
     inst: Instance,
     mode: str = MODE_WINDOW_TOLERANT,
-    exempt_depots: bool = True,
 ) -> FeasibilityReport:
     """Check a plan against the instance (never against the QUBO).
 
     In ``window-tolerant`` mode a longer-than-nominal leg or stay is
     accepted exactly when a window forbids the on-time slot; ``strict``
-    mode demands nominal spacing everywhere.
+    mode demands nominal spacing everywhere.  Vehicles may share a depot
+    in the same interval; any other shared city is a violation.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     v: list[Violation] = []
     for vehicle in inst.vehicles:
         v.extend(_vehicle_checks(plan.events.get(vehicle.id, ()), vehicle, inst, mode))
-    v.extend(_fleet_checks(plan, inst, exempt_depots))
+    v.extend(_fleet_checks(plan, inst))
     return FeasibilityReport(violations=tuple(v), mode=mode)
 
 
@@ -595,7 +595,7 @@ def _stateful_vehicle_checks(events, vehicle, inst: Instance, mode: str) -> list
     return issues
 
 
-def _fleet_checks(plan: RoutePlan, inst: Instance, exempt_depots: bool) -> list[Violation]:
+def _fleet_checks(plan: RoutePlan, inst: Instance) -> list[Violation]:
     issues: list[Violation] = []
     depots = inst.depot_cities
     by_city: dict[int, list[tuple[int, int]]] = {}
@@ -611,7 +611,7 @@ def _fleet_checks(plan: RoutePlan, inst: Instance, exempt_depots: bool) -> list[
                 (vi, ti), (vj, tj) = hits[x], hits[y]
                 if vi == vj:
                     continue
-                if ti == tj and exempt_depots and city in depots:
+                if ti == tj and city in depots:
                     continue
                 issues.append(
                     Violation(
@@ -693,14 +693,13 @@ def evaluate_bits(
     catalogue: VariableCatalogue,
     inst: Instance,
     mode: str = MODE_WINDOW_TOLERANT,
-    exempt_depots: bool = True,
 ) -> tuple[RoutePlan | None, FeasibilityReport]:
     """Decode and check in one step; decode clashes become the report."""
     try:
         plan = decode(bits, catalogue)
     except DecodeError as exc:
         return None, FeasibilityReport(violations=exc.violations, mode=mode)
-    return plan, check_feasibility(plan, inst, mode=mode, exempt_depots=exempt_depots)
+    return plan, check_feasibility(plan, inst, mode=mode)
 
 
 def stats(
@@ -708,7 +707,6 @@ def stats(
     catalogue: VariableCatalogue,
     inst: Instance,
     mode: str = MODE_WINDOW_TOLERANT,
-    exempt_depots: bool = True,
 ) -> SolveStats:
     """Decode and grade every record, weighting by multiplicity."""
     total = 0
@@ -724,7 +722,7 @@ def stats(
         histogram[round(record.energy, 9)] = (
             histogram.get(round(record.energy, 9), 0) + record.multiplicity
         )
-        plan, report = evaluate_bits(record.bits, catalogue, inst, mode, exempt_depots)
+        plan, report = evaluate_bits(record.bits, catalogue, inst, mode)
         ok = report.feasible
         cost = None
         if ok and plan is not None:
@@ -742,15 +740,6 @@ def stats(
         energy_histogram=tuple(sorted(histogram.items())),
         rows=tuple(rows),
     )
-
-
-def write_plan(plan: RoutePlan, path, extra: dict | None = None) -> None:
-    doc = plan.to_document()
-    if extra:
-        doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def read_plan(path, index: int = 0) -> RoutePlan:

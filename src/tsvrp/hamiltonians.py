@@ -106,12 +106,10 @@ class _Assembler:
         self,
         inst: Instance,
         params: PenaltyParameters,
-        exempt_depots: bool,
         catalogue: VariableCatalogue | None,
     ):
         self.inst = inst
         self.params = params
-        self.exempt_depots = exempt_depots
         self.catalogue = catalogue if catalogue is not None else build_catalogue(inst)
         if self.catalogue.instance is not inst and self.catalogue.instance != inst:
             raise BuildError("catalogue belongs to a different instance")
@@ -197,10 +195,9 @@ class _Assembler:
                 vi, vj = inst.vehicles[x], inst.vehicles[y]
                 caps_i, caps_j = cat.capacity_blocks[vi.id], cat.capacity_blocks[vj.id]
                 for a in range(1, n + 1):
-                    exempt = self.exempt_depots and a in depots
                     for tau in range(1, t + 1):
                         for tau2 in range(1, t + 1):
-                            if tau == tau2 and exempt:
+                            if tau == tau2 and a in depots:
                                 continue
                             family = (
                                 "simultaneous_clash" if tau == tau2 else "cross_vehicle_clash"
@@ -230,19 +227,27 @@ def _shift(c: tuple[int, ...], delta: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + d for x, d in zip(c, delta))
 
 
-def _assemble_single_state(asm: _Assembler, xi: float) -> QuboModel:
+def _assemble(asm: _Assembler, xi: float) -> QuboModel:
+    """Emit the travel block, plus the stay block for two-state models.
+
+    A single-state leg is the two-state leg with arrival and departure on
+    one event.  Only single-state vehicles lock their destination;
+    two-state vehicles lose its departure slots in the catalogue instead.
+    """
     inst = asm.inst
     t, n = inst.horizon, inst.n_cities
+    stateful = inst.stateful
+    arrival, departure = (ARRIVAL, DEPARTURE) if stateful else (PLAIN, PLAIN)
     for v in inst.vehicles:
         caps = asm.catalogue.capacity_blocks[v.id]
         lo, hi = v.capacity_lower, v.capacity_upper
-        e = v.end_city
+        lock = None if stateful else v.end_city
         for tau in range(1, t):
             for b in range(1, n + 1):
                 for a in range(1, n + 1):
                     if a == b:
                         continue
-                    if e is not None and b == e:
+                    if b == lock:
                         # Travel out of the destination is replaced by a
                         # lock: every later slot at any other city clashes
                         # with sitting at the destination now.
@@ -252,7 +257,7 @@ def _assemble_single_state(asm: _Assembler, xi: float) -> QuboModel:
                                     asm.pen(
                                         "end_lock",
                                         VariableKey(v.id, tau + dt, a, c2, PLAIN),
-                                        VariableKey(v.id, tau, e, c, PLAIN),
+                                        VariableKey(v.id, tau, lock, c, PLAIN),
                                     )
                         continue
                     dur = inst.duration(tau, a, b)
@@ -262,57 +267,12 @@ def _assemble_single_state(asm: _Assembler, xi: float) -> QuboModel:
                     for c in caps:
                         target = _shift(c, delta)
                         ok = _in_bounds(target, lo, hi)
+                        dep = VariableKey(v.id, tau, b, c, departure)
                         if arrive <= t:
                             if ok:
                                 asm.cost(
                                     "travel_cost",
-                                    VariableKey(v.id, arrive, a, target, PLAIN),
-                                    VariableKey(v.id, tau, b, c, PLAIN),
-                                    d,
-                                )
-                            for c2 in caps:
-                                if ok and c2 == target:
-                                    continue
-                                asm.pen(
-                                    "wrong_capacity",
-                                    VariableKey(v.id, arrive, a, c2, PLAIN),
-                                    VariableKey(v.id, tau, b, c, PLAIN),
-                                )
-                        for dt in range(1, min(dur - 1, t - tau) + 1):
-                            for c2 in caps:
-                                asm.pen(
-                                    "early_arrival",
-                                    VariableKey(v.id, tau + dt, a, c2, PLAIN),
-                                    VariableKey(v.id, tau, b, c, PLAIN),
-                                )
-    asm.exclusions()
-    return asm.finish(xi)
-
-
-def _assemble_two_state(asm: _Assembler, xi: float) -> QuboModel:
-    inst = asm.inst
-    t, n = inst.horizon, inst.n_cities
-    for v in inst.vehicles:
-        caps = asm.catalogue.capacity_blocks[v.id]
-        lo, hi = v.capacity_lower, v.capacity_upper
-        for tau in range(1, t):
-            for b in range(1, n + 1):
-                for a in range(1, n + 1):
-                    if a == b:
-                        continue
-                    dur = inst.duration(tau, a, b)
-                    d = inst.cost(tau, a, b)
-                    delta = inst.variation(tau, a, b)
-                    arrive = tau + dur
-                    for c in caps:
-                        target = _shift(c, delta)
-                        ok = _in_bounds(target, lo, hi)
-                        dep = VariableKey(v.id, tau, b, c, DEPARTURE)
-                        if arrive <= t:
-                            if ok:
-                                asm.cost(
-                                    "travel_cost",
-                                    VariableKey(v.id, arrive, a, target, ARRIVAL),
+                                    VariableKey(v.id, arrive, a, target, arrival),
                                     dep,
                                     d,
                                 )
@@ -321,16 +281,18 @@ def _assemble_two_state(asm: _Assembler, xi: float) -> QuboModel:
                                     continue
                                 asm.pen(
                                     "wrong_capacity",
-                                    VariableKey(v.id, arrive, a, c2, ARRIVAL),
+                                    VariableKey(v.id, arrive, a, c2, arrival),
                                     dep,
                                 )
                         for dt in range(1, min(dur - 1, t - tau) + 1):
                             for c2 in caps:
                                 asm.pen(
                                     "early_arrival",
-                                    VariableKey(v.id, tau + dt, a, c2, ARRIVAL),
+                                    VariableKey(v.id, tau + dt, a, c2, arrival),
                                     dep,
                                 )
+                        if not stateful:
+                            continue
                         # No departure anywhere else while in transit.
                         for dt in range(1, min(dur, t - tau) + 1):
                             for c2 in caps:
@@ -339,6 +301,8 @@ def _assemble_two_state(asm: _Assembler, xi: float) -> QuboModel:
                                     VariableKey(v.id, tau + dt, a, c2, DEPARTURE),
                                     dep,
                                 )
+            if not stateful:
+                continue
             for a in range(1, n + 1):
                 hold = inst.stay(tau, a)
                 for c in caps:
@@ -388,37 +352,31 @@ def _builder(
     inst: Instance,
     params: PenaltyParameters,
     kinds: tuple[str, ...],
-    exempt_depots: bool,
     xi: float,
     catalogue: VariableCatalogue | None,
 ) -> QuboModel:
     if inst.model_kind not in kinds:
         raise BuildError(f"instance has model_kind {inst.model_kind}, expected one of {kinds}")
-    asm = _Assembler(inst, params, exempt_depots, catalogue)
-    if inst.stateful:
-        return _assemble_two_state(asm, xi)
-    return _assemble_single_state(asm, xi)
+    return _assemble(_Assembler(inst, params, catalogue), xi)
 
 
 def build_ts_vrp(
     inst: Instance,
     params: PenaltyParameters,
     *,
-    exempt_depots: bool = True,
     xi: float = 0.0,
     catalogue: VariableCatalogue | None = None,
 ) -> QuboModel:
     """Single-state, uncapacitated time-gridded routing model."""
     if inst.capacity_dims != 0:
         raise BuildError("TS_VRP requires capacity_dims = 0")
-    return _builder(inst, params, ("TS_VRP",), exempt_depots, xi, catalogue)
+    return _builder(inst, params, ("TS_VRP",), xi, catalogue)
 
 
 def build_ts_mcvrp(
     inst: Instance,
     params: PenaltyParameters,
     *,
-    exempt_depots: bool = True,
     xi: float = 0.0,
     catalogue: VariableCatalogue | None = None,
 ) -> QuboModel:
@@ -427,14 +385,13 @@ def build_ts_mcvrp(
         raise BuildError("TS_MCVRP requires capacity_dims >= 1")
     if inst.variations is None:
         raise BuildError("TS_MCVRP requires a variation series")
-    return _builder(inst, params, ("TS_MCVRP",), exempt_depots, xi, catalogue)
+    return _builder(inst, params, ("TS_MCVRP",), xi, catalogue)
 
 
 def build_ts_svrp(
     inst: Instance,
     params: PenaltyParameters,
     *,
-    exempt_depots: bool = True,
     xi: float = 0.0,
     catalogue: VariableCatalogue | None = None,
 ) -> QuboModel:
@@ -443,14 +400,13 @@ def build_ts_svrp(
         raise BuildError("TS_SVRP requires stay durations")
     if inst.capacity_dims != 0:
         raise BuildError("TS_SVRP requires capacity_dims = 0")
-    return _builder(inst, params, ("TS_SVRP",), exempt_depots, xi, catalogue)
+    return _builder(inst, params, ("TS_SVRP",), xi, catalogue)
 
 
 def build_ts_mcsvrp(
     inst: Instance,
     params: PenaltyParameters,
     *,
-    exempt_depots: bool = True,
     xi: float = 0.0,
     catalogue: VariableCatalogue | None = None,
 ) -> QuboModel:
@@ -464,7 +420,7 @@ def build_ts_mcsvrp(
     if inst.durations.stay is None:
         raise BuildError("TS_MCSVRP requires stay durations")
     kinds = ("TS_MCSVRP",) if inst.capacity_dims >= 1 else ("TS_MCSVRP", "TS_SVRP")
-    return _builder(inst, params, kinds, exempt_depots, xi, catalogue)
+    return _builder(inst, params, kinds, xi, catalogue)
 
 
 _BUILDERS = {

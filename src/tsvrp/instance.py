@@ -11,6 +11,7 @@ interval ``tau``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -169,10 +170,6 @@ class VariationSeries:
         object.__setattr__(self, "values", v)
         if v.ndim != 4 or v.shape[1] != v.shape[2]:
             raise InstanceError(f"variation series must have shape (T-1, N, N, M), got {v.shape}")
-
-    @property
-    def dims(self) -> int:
-        return int(self.values.shape[3])
 
     def variation(self, tau: int, to_city: int, from_city: int) -> tuple[int, ...]:
         if to_city == from_city:
@@ -437,7 +434,7 @@ def _capacity_reachability_issues(inst: Instance) -> list[ValidationIssue]:
     issues = []
     for v in inst.vehicles:
         lo, hi = v.capacity_lower, v.capacity_upper
-        boxes = _capacity_box(lo, hi)
+        boxes = capacity_box(lo, hi)
         for a in range(1, inst.n_cities + 1):
             if a == v.start_city:
                 continue
@@ -467,11 +464,9 @@ def _capacity_reachability_issues(inst: Instance) -> list[ValidationIssue]:
     return issues
 
 
-def _capacity_box(lo: Sequence[int], hi: Sequence[int]) -> list[tuple[int, ...]]:
-    box: list[tuple[int, ...]] = [()]
-    for l, h in zip(lo, hi):
-        box = [c + (x,) for c in box for x in range(l, h + 1)]
-    return box
+def capacity_box(lo: Sequence[int], hi: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Every capacity status vector within the bounds, in lexicographic order."""
+    return tuple(itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))))
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +643,11 @@ def read_instance(path) -> Instance:
 
 
 def write_instance(inst: Instance, path) -> None:
+    write_json(path, instance_to_document(inst))
+
+
+def write_json(path, doc: dict) -> None:
+    """Write a document as the project's canonical sorted, indented JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(inst))
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -23,6 +23,10 @@ from .qubo import ARRIVAL, DEPARTURE, PLAIN
 
 _TIE_TOL = 1e-9
 
+#: Extension steps a route search may take before it refuses; enough for
+#: the reference delivery scenario.
+DEFAULT_MAX_NODES = 5_000_000
+
 
 class SearchCapExceeded(RuntimeError):
     """The exhaustive route search outgrew its node budget."""
@@ -32,7 +36,6 @@ class SearchCapExceeded(RuntimeError):
 class _Search:
     inst: Instance
     mode: str
-    exempt_depots: bool
     budget: int
 
     def tick(self) -> None:
@@ -51,114 +54,74 @@ def _slot_choices(search: _Search, nominal: int, latest: int) -> range:
     return range(nominal, latest + 1)
 
 
-def _plain_timelines(search: _Search, vehicle: Vehicle, remaining: frozenset[int]):
-    """Yield (events, claimed_customers, cost) for one single-state vehicle."""
+def _timelines(search: _Search, vehicle: Vehicle, remaining: frozenset[int]):
+    """Yield (events, claimed_customers, cost) for one vehicle.
+
+    Every event is one search node.  A single-state timeline chains legs
+    between plain events; a two-state timeline puts a stay between each
+    arrival and the next departure, and its legs run from departures.
+    """
     inst = search.inst
     t = inst.horizon
-    start = Event(1, vehicle.start_city, PLAIN, tuple(vehicle.start_capacity))
     e = vehicle.end_city
     lo, hi = vehicle.capacity_lower, vehicle.capacity_upper
+    stateful = inst.stateful
+    arrival = ARRIVAL if stateful else PLAIN
 
     def extend(events: list[Event], claimed: frozenset[int], cost: float):
         search.tick()
-        here = events[-1]
-        if e is None or here.city == e:
-            yield list(events), claimed, cost
-        if e is not None and here.city == e:
-            return  # the trip ends at the destination
-        if here.tau >= t:
+        tau, city, state, capacity = events[-1]
+        if state == DEPARTURE:
+            if e is None:
+                yield list(events), claimed, cost  # driver clocks out mid-road
+            elif e == vehicle.start_city and len(events) == 1:
+                yield list(events), claimed, cost  # home vehicle that never moves
+        else:
+            if e is None or city == e:
+                yield list(events), claimed, cost
+            if city == e:
+                return  # the trip ends at the destination
+        if tau >= t:
             return
-        targets = [a for a in remaining - claimed]
-        if e is not None and e != vehicle.start_city:
-            targets.append(e)
-        elif e == vehicle.start_city:
-            targets.append(e)  # unreachable for single-state models; filter flags it
-        for a in sorted(set(targets)):
-            if a == here.city:
-                continue
-            nominal = inst.duration(here.tau, a, here.city)
-            cap = tuple(
-                c + d for c, d in zip(here.capacity, inst.variation(here.tau, a, here.city))
-            )
-            if not all(l <= x <= h for x, l, h in zip(cap, lo, hi)):
-                continue
-            leg_cost = inst.cost(here.tau, a, here.city)
-            for arr in _slot_choices(search, here.tau + nominal, t):
-                if inst.windows.forbids(vehicle.id, arr, a):
+        if stateful and state == ARRIVAL:
+            hold = inst.stay(tau, city)
+            for dep in _slot_choices(search, tau + hold, t):
+                if inst.windows.forbids(vehicle.id, dep, city):
                     continue
-                events.append(Event(arr, a, PLAIN, cap))
-                newly = claimed | {a} if a in remaining else claimed
-                yield from extend(events, newly, cost + leg_cost)
+                events.append(Event(dep, city, DEPARTURE, capacity))
+                yield from extend(events, claimed, cost)
                 events.pop()
-
-    yield from extend([start], frozenset(), 0.0)
-
-
-def _stateful_timelines(search: _Search, vehicle: Vehicle, remaining: frozenset[int]):
-    """Yield (events, claimed, cost) for one two-state vehicle."""
-    inst = search.inst
-    t = inst.horizon
-    e = vehicle.end_city
-    lo, hi = vehicle.capacity_lower, vehicle.capacity_upper
-    start = Event(1, vehicle.start_city, DEPARTURE, tuple(vehicle.start_capacity))
-
-    def after_departure(events: list[Event], claimed: frozenset[int], cost: float):
-        search.tick()
-        here = events[-1]
-        if e is None:
-            yield list(events), claimed, cost  # driver clocks out mid-road
-        elif e == vehicle.start_city and len(events) == 1:
-            yield list(events), claimed, cost  # home vehicle that never moves
-        if here.tau >= t:
             return
         targets = set(remaining - claimed)
         if e is not None:
             targets.add(e)
-        elif vehicle.start_city != here.city:
+        elif stateful:
             targets.add(vehicle.start_city)  # optional tour closure
         for a in sorted(targets):
-            if a == here.city:
+            if a == city:
                 continue
-            nominal = inst.duration(here.tau, a, here.city)
-            cap = tuple(
-                c + d for c, d in zip(here.capacity, inst.variation(here.tau, a, here.city))
-            )
+            nominal = inst.duration(tau, a, city)
+            cap = tuple(c + d for c, d in zip(capacity, inst.variation(tau, a, city)))
             if not all(l <= x <= h for x, l, h in zip(cap, lo, hi)):
                 continue
-            leg_cost = inst.cost(here.tau, a, here.city)
-            for arr in _slot_choices(search, here.tau + nominal, t):
+            leg_cost = inst.cost(tau, a, city)
+            for arr in _slot_choices(search, tau + nominal, t):
                 if inst.windows.forbids(vehicle.id, arr, a):
                     continue
-                events.append(Event(arr, a, ARRIVAL, cap))
+                events.append(Event(arr, a, arrival, cap))
                 newly = claimed | {a} if a in remaining else claimed
-                yield from after_arrival(events, newly, cost + leg_cost)
+                yield from extend(events, newly, cost + leg_cost)
                 events.pop()
 
-    def after_arrival(events: list[Event], claimed: frozenset[int], cost: float):
-        search.tick()
-        here = events[-1]
-        if e is None or here.city == e:
-            yield list(events), claimed, cost
-        if e is not None and here.city == e:
-            return
-        if here.tau >= t:
-            return
-        hold = inst.stay(here.tau, here.city)
-        for dep in _slot_choices(search, here.tau + hold, t):
-            if inst.windows.forbids(vehicle.id, dep, here.city):
-                continue
-            events.append(Event(dep, here.city, DEPARTURE, here.capacity))
-            yield from after_departure(events, claimed, cost)
-            events.pop()
-
-    yield from after_departure([start], frozenset(), 0.0)
+    start_state = DEPARTURE if stateful else PLAIN
+    start = Event(1, vehicle.start_city, start_state, tuple(vehicle.start_capacity))
+    yield from extend([start], frozenset(), 0.0)
 
 
 def enumerate_optimal_routes(
     inst: Instance,
     mode: str = MODE_WINDOW_TOLERANT,
-    exempt_depots: bool = True,
-    max_nodes: int = 500_000,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> tuple[float | None, tuple[RoutePlan, ...]]:
     """Exhaustively search all routings; return the cheapest feasible plans.
 
@@ -168,9 +131,8 @@ def enumerate_optimal_routes(
     exists; raises :class:`SearchCapExceeded` past ``max_nodes``
     extension steps.
     """
-    search = _Search(inst=inst, mode=mode, exempt_depots=exempt_depots, budget=max_nodes)
+    search = _Search(inst=inst, mode=mode, budget=max_nodes)
     customers = frozenset(inst.customer_cities)
-    timelines = _stateful_timelines if inst.stateful else _plain_timelines
 
     best_cost: float | None = None
     best_plans: set[RoutePlan] = set()
@@ -183,7 +145,7 @@ def enumerate_optimal_routes(
             if remaining:
                 return
             plan = RoutePlan(events={i + 1: tuple(evts) for i, evts in enumerate(acc)})
-            report = check_feasibility(plan, inst, mode=mode, exempt_depots=search.exempt_depots)
+            report = check_feasibility(plan, inst, mode=mode)
             if not report.feasible:
                 return
             cost = route_cost(plan, inst, check=False)
@@ -195,7 +157,7 @@ def enumerate_optimal_routes(
                 best_plans.add(plan)
             return
         vehicle = inst.vehicles[vehicle_slot]
-        for events, claimed, cost in timelines(search, vehicle, remaining):
+        for events, claimed, cost in _timelines(search, vehicle, remaining):
             acc.append(events)
             assign(vehicle_slot + 1, remaining - claimed, acc, acc_cost + cost)
             acc.pop()

@@ -9,7 +9,6 @@ only ever see free variables.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .instance import Instance, WindowSet
+from .instance import Instance, WindowSet, capacity_box, write_json
 
 PLAIN = "plain"
 ARRIVAL = "arrival"
@@ -48,11 +47,6 @@ class VariableKey(NamedTuple):
         if self.state == DEPARTURE:
             return self._replace(state=ARRIVAL)
         return self
-
-
-def _capacity_tuples(lo: Sequence[int], hi: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    ranges = [range(l, h + 1) for l, h in zip(lo, hi)]
-    return tuple(itertools.product(*ranges))
 
 
 @dataclass(frozen=True)
@@ -94,9 +88,6 @@ class VariableCatalogue:
     def key_of(self, index: int) -> VariableKey:
         return self.free_keys[index]
 
-    def is_fixed(self, key: VariableKey) -> bool:
-        return key in self.fixed
-
     def resolve(self, key: VariableKey) -> tuple[str, int]:
         """Return ("free", index) or ("fixed", value) for a known key."""
         idx = self._index.get(key)
@@ -108,28 +99,24 @@ class VariableCatalogue:
         return "fixed", value
 
     def all_keys(self) -> Iterable[VariableKey]:
-        inst = self.instance
-        for v in inst.vehicles:
-            caps = self.capacity_blocks[v.id]
-            for tau in range(1, inst.horizon + 1):
-                for a in range(1, inst.n_cities + 1):
-                    for state in self.states:
-                        for c in caps:
-                            yield VariableKey(v.id, tau, a, c, state)
-
-    @property
-    def dims(self) -> tuple:
-        inst = self.instance
-        radices = tuple(
-            tuple(h - l + 1 for l, h in zip(v.capacity_lower, v.capacity_upper))
-            for v in inst.vehicles
-        )
-        return (inst.n_vehicles, inst.horizon, inst.n_cities, radices, len(self.states))
+        return _all_keys(self.instance, self.states, self.capacity_blocks)
 
     def start_key(self, vehicle_id: int) -> VariableKey:
         v = self.instance.vehicle(vehicle_id)
         state = DEPARTURE if self.instance.stateful else PLAIN
         return VariableKey(vehicle_id, 1, v.start_city, tuple(v.start_capacity), state)
+
+
+def _all_keys(
+    inst: Instance, states: tuple[str, ...], blocks: dict[int, tuple[tuple[int, ...], ...]]
+) -> Iterable[VariableKey]:
+    """Every key of an instance, free or fixed, in the canonical order."""
+    for v in inst.vehicles:
+        for tau in range(1, inst.horizon + 1):
+            for a in range(1, inst.n_cities + 1):
+                for state in states:
+                    for c in blocks[v.id]:
+                        yield VariableKey(v.id, tau, a, c, state)
 
 
 def build_catalogue(
@@ -144,7 +131,7 @@ def build_catalogue(
     """
     states = STATES_TWO if inst.stateful else STATES_PLAIN
     blocks = {
-        v.id: _capacity_tuples(v.capacity_lower, v.capacity_upper) for v in inst.vehicles
+        v.id: capacity_box(v.capacity_lower, v.capacity_upper) for v in inst.vehicles
     }
     forbidden = set(inst.windows.forbidden) | set(extra_forbidden)
 
@@ -196,21 +183,9 @@ def build_catalogue(
                     raise BuildError(f"window triple {(i, tau, a)} conflicts with a start fixing")
                 fixed[key] = 0
 
-    free: list[VariableKey] = []
-    catalogue = VariableCatalogue(
-        instance=inst,
-        free_keys=(),
-        fixed=fixed,
-        states=states,
-        capacity_blocks=blocks,
-        extra_forbidden=frozenset(extra_forbidden),
-    )
-    for key in catalogue.all_keys():
-        if key not in fixed:
-            free.append(key)
     return VariableCatalogue(
         instance=inst,
-        free_keys=tuple(free),
+        free_keys=tuple(k for k in _all_keys(inst, states, blocks) if k not in fixed),
         fixed=fixed,
         states=states,
         capacity_blocks=blocks,
@@ -415,12 +390,7 @@ def ising_energy(
 
 
 def write_model(model: QuboModel, path, extra: dict | None = None) -> None:
-    doc = model.to_document()
-    if extra:
-        doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {**model.to_document(), **(extra or {})})
 
 
 def read_model_document(path) -> dict:

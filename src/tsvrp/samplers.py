@@ -13,6 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .instance import write_json
 from .qubo import QuboModel
 
 ENERGY_TOL = 1e-9
@@ -83,7 +84,8 @@ class AnnealSchedule:
 
     ``beta_start``/``beta_end`` default to 0.1/lam and 10/lam of the model
     being solved, which keeps the acceptance profile invariant under a
-    total rescaling of the Hamiltonian.
+    total rescaling of the Hamiltonian.  Each one left unset takes its
+    own default.
     """
 
     sweeps: int = 1000
@@ -98,22 +100,27 @@ class AnnealSchedule:
         if self.restarts < 1:
             raise SamplerError(f"restarts must be >= 1, got {self.restarts}")
         if self.beta_start is not None and self.beta_end is not None:
-            if self.beta_start <= 0 or self.beta_end <= 0:
-                raise SamplerError("betas must be positive")
-            if not self.beta_start < self.beta_end:
-                raise SamplerError("beta_start must be below beta_end")
+            _check_betas(self.beta_start, self.beta_end)
 
     def resolved_betas(self, model: QuboModel) -> tuple[float, float]:
-        if self.beta_start is not None and self.beta_end is not None:
-            return self.beta_start, self.beta_end
         lam = getattr(model.params, "lam", None) or 1.0
-        return 0.1 / lam, 10.0 / lam
+        b0 = 0.1 / lam if self.beta_start is None else self.beta_start
+        b1 = 10.0 / lam if self.beta_end is None else self.beta_end
+        _check_betas(b0, b1)
+        return b0, b1
 
     def betas(self, model: QuboModel) -> np.ndarray:
         b0, b1 = self.resolved_betas(model)
         if self.sweeps == 1:
             return np.array([b0])
         return b0 * (b1 / b0) ** (np.arange(self.sweeps) / (self.sweeps - 1))
+
+
+def _check_betas(beta_start: float, beta_end: float) -> None:
+    if beta_start <= 0 or beta_end <= 0:
+        raise SamplerError("betas must be positive")
+    if not beta_start < beta_end:
+        raise SamplerError(f"beta_start {beta_start} must be below beta_end {beta_end}")
 
 
 def exhaustive_solve(model: QuboModel, cap: int = 25) -> SampleSet:
@@ -301,35 +308,43 @@ class AnnealSampler:
 
 
 def write_sample_set(sample_set: SampleSet, path, extra: dict | None = None) -> None:
-    doc = sample_set.to_document()
-    if extra:
-        doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {**sample_set.to_document(), **(extra or {})})
 
 
 def read_sample_set(path, model: QuboModel | None = None, tol: float = IMPORT_TOL) -> SampleSet:
     """Load a sample-set document, re-verifying energies against a model.
 
-    Records whose stored energy disagrees with the model by more than
-    ``tol`` are rejected (dropped); the number of rejections lands in the
-    metadata so silent corruption stays visible.
+    Records that are not a 0/1 string of the model's length with a
+    positive integer multiplicity, or whose stored energy disagrees with
+    the model by more than ``tol``, are rejected (dropped); the number of
+    rejections lands in the metadata so silent corruption stays visible.
+    A malformed document raises ``ValueError`` or ``TypeError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("a sample-set document must be a JSON object")
     records = []
     rejected = 0
     for bitstring, energy, multiplicity in doc.get("records", []):
-        bits = tuple(int(ch) for ch in bitstring)
         energy = float(energy)
+        if (
+            not isinstance(bitstring, str)
+            or not set(bitstring) <= {"0", "1"}
+            or (model is not None and len(bitstring) != model.n_vars)
+            or type(multiplicity) is not int
+            or multiplicity < 1
+        ):
+            rejected += 1
+            continue
+        bits = tuple(int(ch) for ch in bitstring)
         if model is not None:
             actual = model.energy(bits)
             if abs(actual - energy) > tol:
                 rejected += 1
                 continue
             energy = actual
-        records.append(SampleRecord(bits, energy, int(multiplicity)))
+        records.append(SampleRecord(bits, energy, multiplicity))
     metadata = dict(doc.get("metadata", {}))
     if model is not None:
         metadata["rejected_records"] = rejected

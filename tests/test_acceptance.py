@@ -138,7 +138,7 @@ def test_criterion_4_reference_delivery_run():
     schedule = AnnealSchedule(sweeps=200, restarts=10_000, seed=20240817)
     sample_set = simulated_anneal(model, schedule)
     report = stats(sample_set, model.catalogue, inst)
-    best_cost, _ = enumerate_optimal_routes(inst, max_nodes=5_000_000)
+    best_cost, _ = enumerate_optimal_routes(inst)
 
     assert report.feasible_rate > 0.25
     assert report.best_feasible_cost == pytest.approx(best_cost)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tsvrp import serialize_instance
 from tsvrp.cli import main
@@ -358,13 +359,98 @@ def test_module_entry_point(minimal_instance_path, tmp_path):
     assert "free variables: 2" in proc.stdout
 
 
-def test_model_kind_override_conflict(minimal_instance_path, tmp_path):
-    code = main(
+def _solve_sa(instance_path, out, *extra):
+    return main(
         [
-            "build",
-            "--instance", minimal_instance_path,
-            "--model-kind", "TS_SVRP",
-            "--out", str(tmp_path / "m.json"),
+            "solve",
+            "--instance", instance_path,
+            "--sampler", "sa",
+            "--sweeps", "10",
+            "--restarts", "2",
+            "--out", str(out),
+            *extra,
         ]
     )
+
+
+def test_single_beta_flag_resolves_on_its_own(minimal_instance_path, tmp_path):
+    assert _solve_sa(minimal_instance_path, tmp_path / "r", "--beta-start", "5") == 0
+    doc = json.loads((tmp_path / "r.samples.json").read_text())
+    assert doc["run_config"]["beta_start"] == 5.0
+    assert doc["metadata"]["beta_start"] == 5.0
+    assert doc["metadata"]["beta_end"] == 10.0  # the lambda = 1 default
+
+
+def test_single_beta_flag_past_the_other_default_is_usage_error(minimal_instance_path, tmp_path):
+    # At lambda = 2 the default beta_end is 5, below the given beta_start.
+    code = _solve_sa(minimal_instance_path, tmp_path / "r", "--beta-start", "50", "--lambda", "2")
     assert code == 2
+
+
+def _stats(instance_path, samples_path, out):
+    return main(
+        [
+            "stats",
+            "--instance", instance_path,
+            "--samples", str(samples_path),
+            "--out", str(out),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", json.dumps({"records": [["01", 0.0]]}), "[]", '{"records": [["01", 1%s, 1]]}' % ("0" * 400)],
+    ids=["malformed-json", "two-field-record", "not-an-object", "energy-overflow"],
+)
+def test_stats_rejects_malformed_sample_document(minimal_instance_path, tmp_path, text):
+    samples = tmp_path / "s.json"
+    samples.write_text(text)
+    assert _stats(minimal_instance_path, samples, tmp_path / "g") == 2
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda r: [r[0] + "01", r[1], r[2]],
+        lambda r: [r[0][:-1] + "x", r[1], r[2]],
+        lambda r: [r[0], r[1], -7],
+        lambda r: [r[0], r[1], 0],
+        lambda r: [r[0], r[1], 1.5],
+    ],
+    ids=["wrong-length", "non-binary", "negative", "zero", "fractional"],
+)
+def test_stats_rejects_hostile_records(minimal_instance_path, tmp_path, corrupt):
+    main(["solve", "--instance", minimal_instance_path, "--out", str(tmp_path / "run")])
+    samples = tmp_path / "run.samples.json"
+    doc = json.loads(samples.read_text())
+    doc["records"] = [corrupt(doc["records"][0])]
+    samples.write_text(json.dumps(doc))
+    assert _stats(minimal_instance_path, samples, tmp_path / "g") == 1
+    graded = json.loads((tmp_path / "g.stats.json").read_text())
+    assert graded["rejected_records"] == 1
+    assert graded["total_samples"] == 0
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(alphabet="01x", max_size=4)
+)
+_records = st.lists(_scalars, max_size=4) | _scalars
+_documents = st.fixed_dictionaries(
+    {"records": st.lists(_records, max_size=4) | _scalars},
+    optional={"metadata": st.dictionaries(st.text(max_size=3), _scalars, max_size=2) | _scalars},
+)
+
+
+@given(text=_documents.map(json.dumps) | st.lists(_scalars, max_size=3).map(json.dumps) | st.text(max_size=12))
+def test_stats_fuzz_never_ends_in_internal_error(tmp_path_factory, text):
+    base = tmp_path_factory.mktemp("fuzz")
+    instance = base / "instance.json"
+    instance.write_text(serialize_instance(two_city_plain().instance))
+    samples = base / "s.json"
+    samples.write_text(text)
+    assert _stats(str(instance), samples, base / "g") in (0, 1, 2)
