@@ -70,7 +70,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="classical exhaustive optimum")
     common(p_oracle)
-    p_oracle.add_argument("--max-nodes", type=int, default=oracle.DEFAULT_MAX_NODES)
+    p_oracle.add_argument(
+        "--max-nodes",
+        type=int,
+        default=oracle.DEFAULT_MAX_NODES,
+        help="search nodes (timeline extension steps plus join nodes) before refusing",
+    )
 
     p_check = sub.add_parser("check", help="check a plan file against an instance")
     common(p_check)

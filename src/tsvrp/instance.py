@@ -326,22 +326,33 @@ def discretize_durations(
     """Convert raw travel (and optional stay) minutes to interval counts.
 
     Every leg of r minutes occupies ``ceil(r / unit)`` intervals, clamped
-    below at one so an arrival always falls strictly after its departure.
+    below at one so an arrival always falls strictly after its departure,
+    and above at T + 1: a leg that long ends past the horizon whenever it
+    departs, and the clamp keeps a huge count from wrapping in the cast.
     """
     raw = np.asarray(raw_minutes, dtype=float)
     if raw.ndim != 3 or raw.shape[1] != raw.shape[2]:
         raise InstanceError(f"raw minutes must have shape (T-1, N, N), got {raw.shape}")
+    longest = raw.shape[0] + 2  # T + 1
     off = ~np.eye(raw.shape[1], dtype=bool)
     if np.any(raw[:, off] < 0):
         raise InstanceError("raw duration must be non-negative")
-    travel = np.maximum(1, np.ceil(raw / unit_minutes - _CEIL_SLACK).astype(int))
+    travel = _interval_counts(raw, unit_minutes, longest)
     stay = None
     if stay_raw_minutes is not None:
         sraw = np.asarray(stay_raw_minutes, dtype=float)
         if np.any(sraw < 0):
             raise InstanceError("raw duration must be non-negative")
-        stay = np.maximum(1, np.ceil(sraw / unit_minutes - _CEIL_SLACK).astype(int))
+        stay = _interval_counts(sraw, unit_minutes, longest)
     return DurationSeries(travel=travel, stay=stay)
+
+
+def _interval_counts(minutes: np.ndarray, unit_minutes: float, longest: int) -> np.ndarray:
+    if not np.all(np.isfinite(minutes)):
+        raise InstanceError("raw duration must be finite")
+    with np.errstate(over="ignore"):  # a tiny unit overflows to inf, then clamps
+        counts = np.ceil(minutes / unit_minutes - _CEIL_SLACK)
+    return np.clip(counts, 1, longest).astype(int)
 
 
 def apply_priority(costs: CostSeries, weight: float, target_cities: Iterable[int]) -> CostSeries:
@@ -518,6 +529,40 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InstanceError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InstanceError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _number(value, what: str, integer: bool = False):
+    """Read a finite JSON number.  An ``integer`` field takes ``3.0`` as 3
+    but rejects any fractional part; booleans and strings are never
+    numbers, so nothing is coerced or silently truncated."""
+    bad = isinstance(value, bool) or not isinstance(value, (int, float))
+    if not bad and integer:
+        bad = isinstance(value, float) and not value.is_integer()  # NaN and ±inf too
+    elif not bad:
+        try:
+            bad = not math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            bad = True
+    if bad:
+        kind = "an integer" if integer else "a finite number"
+        raise InstanceError(f"{what} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _integers(value, what: str) -> tuple[int, ...]:
+    return tuple(_number(x, what, integer=True) for x in _list(value, what))
+
+
 def _dense_array(raw, shape: tuple[int, ...], what: str) -> np.ndarray:
     """Convert nested lists into a dense array, rejecting holes and shape errors.
 
@@ -543,7 +588,10 @@ def _dense_array(raw, shape: tuple[int, ...], what: str) -> np.ndarray:
             raise InstanceError(f"{what} has a missing entry at position {np.unravel_index(pos, shape)}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InstanceError(f"{what} has a non-numeric entry {value!r}")
-        out[pos] = float(value)
+        try:
+            out[pos] = float(value)
+        except OverflowError as exc:
+            raise InstanceError(f"{what} has an out-of-range entry {value!r}") from exc
     return out.reshape(shape)
 
 
@@ -552,35 +600,36 @@ def instance_from_document(doc: dict) -> Instance:
         raise InstanceError("instance document must be a JSON object")
     if doc.get("index_base") != 1:
         raise InstanceError('instance document must declare "index_base": 1')
-    grid_doc = _require(doc, "grid")
+    grid_doc = _object(_require(doc, "grid"), "grid")
     grid = TimeGrid(
-        interval_count=int(_require(grid_doc, "T")),
-        unit_minutes=float(_require(grid_doc, "unit_minutes")),
+        interval_count=_number(_require(grid_doc, "T"), "grid T", integer=True),
+        unit_minutes=_number(_require(grid_doc, "unit_minutes"), "grid unit_minutes"),
         origin_label=grid_doc.get("origin_label"),
     )
-    labels = tuple(str(x) for x in _require(doc, "cities"))
+    labels = tuple(str(x) for x in _list(_require(doc, "cities"), "cities"))
     n, t = len(labels), grid.interval_count
     model_kind = str(_require(doc, "model_kind"))
     if model_kind not in MODEL_KINDS:
         raise InstanceError(f"unknown model_kind {model_kind!r}")
-    m = int(_require(doc, "capacity_dims"))
+    m = _number(_require(doc, "capacity_dims"), "capacity_dims", integer=True)
     if m < 0:
         raise InstanceError("capacity_dims must be >= 0")
 
     vehicles = []
-    for slot, vdoc in enumerate(_require(doc, "vehicles"), start=1):
-        q = tuple(int(x) for x in vdoc.get("q", []))
-        qq = tuple(int(x) for x in vdoc.get("Q", []))
+    for slot, vdoc in enumerate(_list(_require(doc, "vehicles"), "vehicles"), start=1):
+        what = f"vehicle {slot}"
+        vdoc = _object(vdoc, what)
         c0 = vdoc.get("c0")
+        end = vdoc.get("end")
         vehicles.append(
             Vehicle(
                 id=slot,
-                start_city=int(_require(vdoc, "start")),
-                end_city=int(vdoc["end"]) if vdoc.get("end") is not None else None,
+                start_city=_number(_require(vdoc, "start"), f"{what} start", integer=True),
+                end_city=_number(end, f"{what} end", integer=True) if end is not None else None,
                 type_tag=vdoc.get("type"),
-                capacity_lower=q,
-                capacity_upper=qq,
-                start_capacity=tuple(int(x) for x in c0) if c0 is not None else None,
+                capacity_lower=_integers(vdoc.get("q", []), f"{what} q"),
+                capacity_upper=_integers(vdoc.get("Q", []), f"{what} Q"),
+                start_capacity=_integers(c0, f"{what} c0") if c0 is not None else None,
             )
         )
 
@@ -612,8 +661,10 @@ def instance_from_document(doc: dict) -> Instance:
         raise InstanceError("variations present but capacity_dims = 0")
 
     triples = set()
-    for w in doc.get("windows", []):
-        triples.add((int(_require(w, "vehicle")), int(_require(w, "tau")), int(_require(w, "city"))))
+    for w in _list(doc.get("windows", []), "windows"):
+        w = _object(w, "window")
+        fields = ("vehicle", "tau", "city")
+        triples.add(tuple(_number(_require(w, f), f"window {f}", integer=True) for f in fields))
 
     return Instance(
         grid=grid,

@@ -1,20 +1,32 @@
 """Brute-force route enumeration, independent of the QUBO encoding.
 
-Candidate timelines are generated city by city under the instance's
-durations, windows and capacity bounds, then every complete assignment
-is vetted by the same feasibility checker used for decoded samples, so
-oracle and checker can never drift apart.
+Each distinct vehicle signature (start and end city, capacity box,
+start load and the vehicle's own forbidden slots) has its timelines
+generated once, city by city under the instance's durations, windows
+and capacity bounds, against the full customer set.  A timeline the
+per-vehicle checker rejects is dropped.  The search then joins one
+timeline per vehicle, in vehicle id order, by branch and bound: each
+vehicle tries its timelines cheapest first, skips those that claim a
+customer an earlier vehicle took, and stops once the partial cost plus
+the cheapest timeline of every later vehicle exceeds the best plan so
+far.  Every complete plan is vetted by the same feasibility checker used
+for decoded samples, so oracle and checker can never drift apart.
+
+The node budget counts one node per timeline extension step and one per
+join node (a timeline placed into a partial plan).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decoder import (
     MODE_STRICT,
     MODE_WINDOW_TOLERANT,
     Event,
     RoutePlan,
+    _vehicle_checks,
     check_feasibility,
     route_cost,
 )
@@ -23,8 +35,8 @@ from .qubo import ARRIVAL, DEPARTURE, PLAIN
 
 _TIE_TOL = 1e-9
 
-#: Extension steps a route search may take before it refuses; enough for
-#: the reference delivery scenario.
+#: Search nodes (timeline extension steps plus join nodes) a route search
+#: may take before it refuses.
 DEFAULT_MAX_NODES = 5_000_000
 
 
@@ -118,6 +130,58 @@ def _timelines(search: _Search, vehicle: Vehicle, remaining: frozenset[int]):
     yield from extend([start], frozenset(), 0.0)
 
 
+class _Timeline(NamedTuple):
+    cost: float
+    order: int  # position in generation order, which fixes tie-breaking
+    claimed: int  # bitmask over the instance's customer cities
+    events: tuple[Event, ...]
+
+
+def _signature(inst: Instance, vehicle: Vehicle) -> tuple:
+    """Everything :func:`_timelines` and the per-vehicle checks read of a
+    vehicle; vehicles that share it share their timeline list."""
+    slots = frozenset((tau, city) for i, tau, city in inst.windows.forbidden if i == vehicle.id)
+    return (
+        vehicle.start_city,
+        vehicle.end_city,
+        vehicle.capacity_lower,
+        vehicle.capacity_upper,
+        vehicle.start_capacity,
+        slots,
+    )
+
+
+def _timeline_table(search: _Search) -> list[list[_Timeline]]:
+    """Each vehicle's admissible timelines, cheapest first.
+
+    Timelines are generated once per signature against the full customer
+    set: a timeline never revisits a customer and customers exclude
+    depots, so the timelines a vehicle has under a smaller set of open
+    customers are exactly those whose claimed set lies inside it.
+    """
+    inst = search.inst
+    customers = inst.customer_cities
+    bit = {city: 1 << k for k, city in enumerate(customers)}
+    shared: dict[tuple, list[_Timeline]] = {}
+    table = []
+    for vehicle in inst.vehicles:
+        key = _signature(inst, vehicle)
+        if key not in shared:
+            timelines = []
+            for order, (events, claimed, cost) in enumerate(
+                _timelines(search, vehicle, frozenset(customers))
+            ):
+                events = tuple(events)
+                if _vehicle_checks(events, vehicle, inst, search.mode):
+                    continue  # any plan holding this timeline is infeasible
+                mask = sum(bit[city] for city in claimed)
+                timelines.append(_Timeline(cost, order, mask, events))
+            timelines.sort()
+            shared[key] = timelines
+        table.append(shared[key])
+    return table
+
+
 def enumerate_optimal_routes(
     inst: Instance,
     mode: str = MODE_WINDOW_TOLERANT,
@@ -125,43 +189,60 @@ def enumerate_optimal_routes(
 ) -> tuple[float | None, tuple[RoutePlan, ...]]:
     """Exhaustively search all routings; return the cheapest feasible plans.
 
-    Vehicles claim customers depth-first in id order; every complete
-    candidate is validated with :func:`check_feasibility` before it may
-    enter the optimum set.  Returns ``(None, ())`` when nothing feasible
-    exists; raises :class:`SearchCapExceeded` past ``max_nodes``
-    extension steps.
+    Vehicles take one precomputed timeline each, in id order, by branch
+    and bound over disjoint customer sets; every complete candidate is
+    validated with :func:`check_feasibility` before it may enter the
+    optimum set.  Returns ``(None, ())`` when nothing feasible exists;
+    raises :class:`SearchCapExceeded` past ``max_nodes`` search nodes,
+    counting every timeline extension step and every join node.
     """
     search = _Search(inst=inst, mode=mode, budget=max_nodes)
-    customers = frozenset(inst.customer_cities)
+    table = _timeline_table(search)
+    last = len(table) - 1
+    # floor[k]: the cheapest cost vehicles k.. can add, a bound for the cut.
+    floor = [0.0] * (len(table) + 1)
+    for slot in range(last, -1, -1):
+        if not table[slot]:
+            return None, ()
+        floor[slot] = floor[slot + 1] + table[slot][0].cost
 
-    best_cost: float | None = None
-    best_plans: set[RoutePlan] = set()
+    best: float | None = None
+    found: list[tuple[tuple[int, ...], float, RoutePlan]] = []
 
-    def assign(vehicle_slot: int, remaining: frozenset[int], acc: list, acc_cost: float):
-        nonlocal best_cost
-        if best_cost is not None and acc_cost > best_cost + _TIE_TOL:
-            return
-        if vehicle_slot == len(inst.vehicles):
-            if remaining:
-                return
-            plan = RoutePlan(events={i + 1: tuple(evts) for i, evts in enumerate(acc)})
-            report = check_feasibility(plan, inst, mode=mode)
-            if not report.feasible:
-                return
-            cost = route_cost(plan, inst, check=False)
-            if best_cost is None or cost < best_cost - _TIE_TOL:
-                best_cost = cost
-                best_plans.clear()
-                best_plans.add(plan)
-            elif abs(cost - best_cost) <= _TIE_TOL:
-                best_plans.add(plan)
-            return
-        vehicle = inst.vehicles[vehicle_slot]
-        for events, claimed, cost in _timelines(search, vehicle, remaining):
-            acc.append(events)
-            assign(vehicle_slot + 1, remaining - claimed, acc, acc_cost + cost)
+    def join(slot: int, remaining: int, acc: list[_Timeline], acc_cost: float) -> None:
+        nonlocal best
+        rest = floor[slot + 1]
+        for timeline in table[slot]:
+            if best is not None and acc_cost + timeline.cost + rest > best + _TIE_TOL:
+                break  # sorted by cost: every later timeline is cut too
+            if timeline.claimed & ~remaining:
+                continue
+            if slot == last and timeline.claimed != remaining:
+                continue  # a customer would stay unvisited
+            search.tick()
+            acc.append(timeline)
+            if slot < last:
+                join(slot + 1, remaining & ~timeline.claimed, acc, acc_cost + timeline.cost)
+            else:
+                plan = RoutePlan(events={i + 1: t.events for i, t in enumerate(acc)})
+                if check_feasibility(plan, inst, mode=mode).feasible:
+                    cost = route_cost(plan, inst, check=False)
+                    if best is None or cost < best:
+                        best = cost
+                    found.append((tuple(t.order for t in acc), cost, plan))
             acc.pop()
 
-    assign(0, customers, [], 0.0)
+    join(0, (1 << len(inst.customer_cities)) - 1, [], 0.0)
+
+    # Replay the candidates in the order a depth-first search over the
+    # generation order meets them, so near-ties resolve the same way.
+    best_cost: float | None = None
+    best_plans: set[RoutePlan] = set()
+    for _, cost, plan in sorted(found, key=lambda item: item[0]):
+        if best_cost is None or cost < best_cost - _TIE_TOL:
+            best_cost = cost
+            best_plans = {plan}
+        elif abs(cost - best_cost) <= _TIE_TOL:
+            best_plans.add(plan)
     ordered = tuple(sorted(best_plans, key=lambda p: p.canonical()))
     return best_cost, ordered

@@ -1,12 +1,20 @@
+import copy
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tsvrp import serialize_instance
+from tsvrp import enumerate_optimal_routes, serialize_instance
 from tsvrp.cli import main
+from tsvrp.instance import instance_to_document
 
-from cases import three_city_dense, three_city_window_order, two_city_plain
+from cases import (
+    mcsvrp_two_city,
+    svrp_three_city,
+    three_city_dense,
+    three_city_window_order,
+    two_city_plain,
+)
 
 
 @pytest.fixture
@@ -454,3 +462,128 @@ def test_stats_fuzz_never_ends_in_internal_error(tmp_path_factory, text):
     samples = base / "s.json"
     samples.write_text(text)
     assert _stats(str(instance), samples, base / "g") in (0, 1, 2)
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value(node[last]) if callable(value) else value
+
+    return mutate
+
+
+def _oracle(doc, tmp_path, *extra):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    return main(["oracle", "--instance", str(path), "--out", str(tmp_path / "plans.json"), *extra])
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set(("vehicles",), [1]),
+        _set(("windows",), [5]),
+        _set(("grid", "T"), None),
+        _set(("grid", "unit_minutes"), "x"),
+        _set(("cities",), 5),
+        _set(("capacity_dims",), "a"),
+        _set(("vehicles", 0, "q"), 3),
+        _set(("vehicles", 0, "start"), [1]),
+        _set(("vehicles", 0, "start"), 1.5),
+        _set(("grid", "T"), lambda t: t + 0.7),
+        _set(("grid", "T"), str),
+        _set(("grid", "unit_minutes"), float("nan")),
+        _set(("raw_minutes", 0, 1, 0), float("nan")),
+        _set(("raw_minutes", 0, 1, 0), float("inf")),
+    ],
+    ids=[
+        "vehicle-not-object",
+        "window-not-object",
+        "null-T",
+        "string-unit-minutes",
+        "cities-not-list",
+        "string-capacity-dims",
+        "scalar-q",
+        "list-start",
+        "fractional-start",
+        "fractional-T",
+        "string-T",
+        "nan-unit-minutes",
+        "nan-raw-minutes",
+        "infinite-raw-minutes",
+    ],
+)
+def test_oracle_rejects_malformed_instance_fields(tmp_path, mutate):
+    doc = instance_to_document(three_city_dense().instance)
+    mutate(doc)
+    assert _oracle(doc, tmp_path) == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "infinite"])
+def test_oracle_rejects_non_finite_stay_minutes(tmp_path, value):
+    doc = instance_to_document(svrp_three_city().instance)
+    doc["stay_minutes"][0][1] = value
+    assert _oracle(doc, tmp_path) == 2
+
+
+def test_integral_floats_still_read_as_integers(tmp_path, capsys):
+    doc = instance_to_document(three_city_dense().instance)
+    doc["grid"]["T"] = float(doc["grid"]["T"])
+    doc["vehicles"][0]["start"] = 1.0
+    assert _oracle(doc, tmp_path) == 0
+    assert "optimal cost: 5.5" in capsys.readouterr().out
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+_DELETE = object()
+
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _apply(doc, mutations):
+    doc = copy.deepcopy(doc)
+    for path, value in mutations:
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            if value is _DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed the path
+    return doc
+
+
+def _mutated(case):
+    doc = instance_to_document(case.instance)
+    mutation = st.tuples(st.sampled_from(list(_paths(doc))), st.just(_DELETE) | _json_values)
+    return st.lists(mutation, min_size=1, max_size=3).map(lambda m: (case, _apply(doc, m)))
+
+
+@given(pair=_mutated(three_city_dense()) | _mutated(mcsvrp_two_city()))
+def test_instance_fuzz_never_ends_in_internal_error(tmp_path_factory, pair):
+    case, doc = pair
+    base = tmp_path_factory.mktemp("fuzz")
+    instance = base / "instance.json"
+    instance.write_text(json.dumps(doc))
+    _, plans = enumerate_optimal_routes(case.instance)
+    plan = base / "plan.json"
+    plan.write_text(json.dumps(plans[0].to_document()))
+    common = ["--instance", str(instance), "--out", str(base / "out.json")]
+    assert main(["oracle", *common, "--max-nodes", "2000"]) in (0, 1, 2)
+    assert main(["check", *common, "--plan", str(plan)]) in (0, 1, 2)

@@ -3,9 +3,9 @@
 ``golden.json`` records, for the exhaustive case suite, the reference
 delivery scenario and two seeded random instances of each model kind,
 the model fingerprint and per-family term counts, and for the case
-suite the oracle's optimal cost and a digest of its sorted optimal
-plans.  A change that is meant to leave the encoding and the oracle as
-they are must leave these values as they are.
+suite and the delivery scenario the oracle's optimal cost and a digest
+of its sorted optimal plans.  A change that is meant to leave the
+encoding and the oracle as they are must leave these values as they are.
 
 Regenerate after an intended change with ``python tests/test_golden.py``
 (run from the repository root with ``src`` on ``PYTHONPATH``) and say
@@ -41,6 +41,12 @@ def _model_instances():
             yield f"random:{kind}:{seed}", random_instance(seed, kind=kind), RANDOM_LAMBDA
 
 
+def _oracle_instances():
+    for case in load_cases():
+        yield case.name, case.instance
+    yield "demo", delivery_demo_instance()
+
+
 def _model_entry(inst, lam) -> dict:
     model = build_model(inst, standard_parameters(inst.costs, lam))
     return {"fingerprint": model.fingerprint(), "terms": term_summary(model)}
@@ -58,7 +64,7 @@ def _oracle_entry(inst) -> dict:
 def _generate() -> dict:
     return {
         "models": {name: _model_entry(inst, lam) for name, inst, lam in _model_instances()},
-        "oracle": {case.name: _oracle_entry(case.instance) for case in load_cases()},
+        "oracle": {name: _oracle_entry(inst) for name, inst in _oracle_instances()},
     }
 
 
@@ -75,13 +81,13 @@ def test_golden_models(golden):
 
 
 def test_golden_oracle(golden):
-    cases = load_cases()
-    assert {c.name for c in cases} == golden["oracle"].keys()
-    for case in cases:
-        expected = golden["oracle"][case.name]
-        entry = _oracle_entry(case.instance)
-        assert entry["plans_digest"] == expected["plans_digest"], case.name
-        assert entry["optimal_cost"] == pytest.approx(expected["optimal_cost"], abs=1e-9), case.name
+    instances = dict(_oracle_instances())
+    assert instances.keys() == golden["oracle"].keys()
+    for name, inst in instances.items():
+        expected = golden["oracle"][name]
+        entry = _oracle_entry(inst)
+        assert entry["plans_digest"] == expected["plans_digest"], name
+        assert entry["optimal_cost"] == pytest.approx(expected["optimal_cost"], abs=1e-9), name
 
 
 if __name__ == "__main__":

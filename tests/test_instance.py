@@ -10,6 +10,7 @@ from tsvrp import (
     InstanceError,
     apply_priority,
     discretize_durations,
+    enumerate_optimal_routes,
     parse_instance,
     serialize_instance,
     validate_instance,
@@ -92,6 +93,26 @@ def test_discretize_rejects_negative():
     raw = np.full((1, 2, 2), -1.0)
     with pytest.raises(InstanceError, match="non-negative"):
         discretize_durations(raw, 20.0)
+
+
+@pytest.mark.parametrize("minutes", [1e19, 1e21, 1e300])
+def test_leg_longer_than_the_horizon_stays_longer(minutes):
+    # 1e21 / 20 and 1e300 / 20 do not fit a 64-bit integer, and an
+    # unclamped cast wrapped them to a one-interval leg.
+    doc = minimal_document(raw_minutes=[[[0.0, 25.0], [minutes, 0.0]]])
+    inst = parse_instance(json.dumps(doc))
+    assert inst.duration(1, 2, 1) == inst.horizon + 1
+    assert enumerate_optimal_routes(inst) == (None, ())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_discretize_rejects_non_finite(value):
+    raw = np.full((1, 2, 2), 20.0)
+    raw[0, 1, 0] = value
+    with pytest.raises(InstanceError, match="finite"):
+        discretize_durations(raw, 20.0)
+    with pytest.raises(InstanceError, match="finite"):
+        discretize_durations(np.full((1, 2, 2), 20.0), 20.0, stay_raw_minutes=np.full((1, 2), value))
 
 
 @given(
