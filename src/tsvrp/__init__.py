@@ -14,10 +14,6 @@ from .decoder import (
 from .hamiltonians import (
     PenaltyParameters,
     build_model,
-    build_ts_mcsvrp,
-    build_ts_mcvrp,
-    build_ts_svrp,
-    build_ts_vrp,
     standard_parameters,
 )
 from .instance import (
@@ -44,7 +40,6 @@ from .qubo import (
     QuboModel,
     VariableCatalogue,
     VariableKey,
-    apply_windows,
     build_catalogue,
 )
 from .samplers import (

@@ -18,13 +18,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .instance import Instance
-from .qubo import ARRIVAL, DEPARTURE, PLAIN, VariableCatalogue, VariableKey
+from .instance import Instance, _integers, _list, _number, _object, _require
+from .qubo import ARRIVAL, DEPARTURE, PLAIN, STATES_PLAIN, STATES_TWO, VariableCatalogue, VariableKey
 from .samplers import SampleSet
 
 MODE_STRICT = "strict"
 MODE_WINDOW_TOLERANT = "window-tolerant"
 MODES = (MODE_STRICT, MODE_WINDOW_TOLERANT)
+STATES = STATES_PLAIN + STATES_TWO
+
 
 class Violation(NamedTuple):
     """One broken rule.
@@ -118,14 +120,24 @@ class RoutePlan:
         }
 
     @classmethod
-    def from_document(cls, doc: dict) -> "RoutePlan":
+    def from_document(cls, doc) -> "RoutePlan":
+        """Read a plan document; a malformed field raises ``ValueError``."""
         events: dict[int, tuple[Event, ...]] = {}
-        for entry in doc["vehicles"]:
-            evts = tuple(
-                Event(int(e["tau"]), int(e["city"]), str(e["state"]), tuple(int(x) for x in e.get("capacity", [])))
-                for e in entry["events"]
-            )
-            events[int(entry["vehicle"])] = evts
+        for entry in _list(_require(_object(doc, "plan"), "vehicles"), "plan vehicles"):
+            entry = _object(entry, "plan vehicle")
+            i = _number(_require(entry, "vehicle"), "plan vehicle", integer=True)
+            if i in events:
+                raise ValueError(f"plan lists vehicle {i} twice")
+            evts = []
+            for e in _list(_require(entry, "events"), f"vehicle {i} events"):
+                what = f"vehicle {i} event"
+                e = _object(e, what)
+                state = _require(e, "state")
+                if state not in STATES:
+                    raise ValueError(f"{what} state must be one of {STATES}, got {state!r}")
+                tau, city = (_number(_require(e, f), f"{what} {f}", integer=True) for f in ("tau", "city"))
+                evts.append(Event(tau, city, state, _integers(e.get("capacity", []), f"{what} capacity")))
+            events[i] = tuple(evts)
         return cls(events=events)
 
 
@@ -218,6 +230,9 @@ def check_feasibility(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     v: list[Violation] = []
+    for i in plan.events:
+        if not 1 <= i <= inst.n_vehicles:
+            v.append(Violation("UNKNOWN_VEHICLE", f"the instance has no vehicle {i}", True))
     for vehicle in inst.vehicles:
         v.extend(_vehicle_checks(plan.events.get(vehicle.id, ()), vehicle, inst, mode))
     v.extend(_fleet_checks(plan, inst))
@@ -228,9 +243,14 @@ def _vehicle_checks(events, vehicle, inst: Instance, mode: str) -> list[Violatio
     issues: list[Violation] = []
     i = vehicle.id
     t = inst.horizon
-    start_state = DEPARTURE if inst.stateful else PLAIN
+    two_state = inst.stateful
+    start_state = DEPARTURE if two_state else PLAIN
 
+    off_map = False
     for e in events:
+        if not 1 <= e.city <= inst.n_cities:
+            off_map = True
+            issues.append(Violation("WINDOW", f"vehicle {i} event at city {e.city} is off the map", True))
         if inst.windows.forbids(i, e.tau, e.city):
             issues.append(
                 Violation("WINDOW", f"vehicle {i} occupies forbidden slot ({e.tau}, {e.city})", True)
@@ -255,56 +275,42 @@ def _vehicle_checks(events, vehicle, inst: Instance, mode: str) -> list[Violatio
             )
         )
         return issues  # later checks assume an anchored timeline
+    if off_map:
+        return issues  # and look every city up in the travel matrices
 
-    seen: dict[int, int] = {}
     for idx, e in enumerate(events):
         if idx > 0 and e.tau == events[idx - 1].tau:
             issues.append(
                 Violation("MULTI_CITY_SAME_TIME", f"vehicle {i}: two events in interval {e.tau}", True)
             )
-    if inst.stateful:
-        issues.extend(_stateful_vehicle_checks(events, vehicle, inst, mode))
-    else:
-        issues.extend(_plain_vehicle_checks(events, vehicle, inst, mode))
+    issues.extend(_timing_checks(events, vehicle, inst, mode))
 
-    # Revisits: one visit per city, where a visit is an event (plain
-    # models) or an arrival (two-state models, whose stays legitimately
-    # touch a city twice).  A two-state tour may close by arriving back
-    # at its own start as the final event.
-    if inst.stateful:
-        closing_ok = vehicle.end_city in (None, vehicle.start_city)
-        arrivals: dict[int, int] = {}
-        departures: dict[int, int] = {}
-        for idx, e in enumerate(events):
-            bucket = arrivals if e.state == ARRIVAL else departures
-            bucket[e.city] = bucket.get(e.city, 0) + 1
-            if (
-                e.state == ARRIVAL
-                and e.city == vehicle.start_city
-                and not (closing_ok and idx == len(events) - 1)
-            ):
-                # No penalty pair prices this shape (the start slot holds a
-                # departure, and unlike-state pairs at one city belong to
-                # the stay machinery), so it is discouraged, not priced.
-                issues.append(
-                    Violation("REVISIT", f"vehicle {i} returns to its start city {e.city} mid-route", False)
-                )
-        for bucket in (arrivals, departures):
-            for city, count in bucket.items():
-                if count > 1:
-                    issues.append(Violation("REVISIT", f"vehicle {i} visits city {city} {count} times", True))
-    else:
-        for e in events:
-            seen[e.city] = seen.get(e.city, 0) + 1
-        for city, count in seen.items():
-            if count > 1:
-                issues.append(Violation("REVISIT", f"vehicle {i} visits city {city} {count} times", True))
+    # Revisits: one visit per (state, city).  A single-state event counts
+    # once whatever its label; a two-state stay touches its city once as
+    # an arrival and once as a departure (other labels count with the
+    # departures).  A two-state tour may close by arriving back at its
+    # own start as the final event.
+    closing_ok = vehicle.end_city in (None, vehicle.start_city)
+    visits: dict[tuple[bool, int], int] = {}
+    for idx, e in enumerate(events):
+        arrival = two_state and e.state == ARRIVAL
+        visits[arrival, e.city] = visits.get((arrival, e.city), 0) + 1
+        if arrival and e.city == vehicle.start_city and not (closing_ok and idx == len(events) - 1):
+            # No penalty pair prices this shape (the start slot holds a
+            # departure, and unlike-state pairs at one city belong to
+            # the stay machinery), so it is discouraged, not priced.
+            issues.append(
+                Violation("REVISIT", f"vehicle {i} returns to its start city {e.city} mid-route", False)
+            )
+    for (_, city), count in visits.items():
+        if count > 1:
+            issues.append(Violation("REVISIT", f"vehicle {i} visits city {city} {count} times", True))
 
     if vehicle.end_city is not None:
         end = vehicle.end_city
         last = events[-1]
         ends_ok = last.city == end and (
-            not inst.stateful or last.state == ARRIVAL or len(events) == 1 and end == vehicle.start_city
+            not two_state or last.state == ARRIVAL or len(events) == 1 and end == vehicle.start_city
         )
         if not ends_ok:
             issues.append(
@@ -317,7 +323,7 @@ def _vehicle_checks(events, vehicle, inst: Instance, mode: str) -> list[Violatio
         for idx, e in enumerate(events):
             if e.city != end:
                 continue
-            if inst.stateful and e.state == DEPARTURE:
+            if two_state and e.state == DEPARTURE:
                 if e.tau >= 2:
                     issues.append(
                         Violation("END", f"vehicle {i} departs its destination {end} at {e.tau}", True)
@@ -329,7 +335,7 @@ def _vehicle_checks(events, vehicle, inst: Instance, mode: str) -> list[Violatio
                         "END",
                         f"vehicle {i} is active at ({later.tau}, {later.city}) after "
                         f"reaching its destination {end}",
-                        not inst.stateful,
+                        not two_state,
                     )
                 )
             break
@@ -340,96 +346,31 @@ def _window_blocks(inst: Instance, vehicle_id: int, tau: int, city: int) -> bool
     return tau > inst.horizon or inst.windows.forbids(vehicle_id, tau, city)
 
 
-def _plain_vehicle_checks(events, vehicle, inst: Instance, mode: str) -> list[Violation]:
+def _timing_checks(events, vehicle, inst: Instance, mode: str) -> list[Violation]:
+    """Leg and stay timing of one anchored timeline.
+
+    A single-state event is both an arrival and a departure, so one leg
+    rule serves every model kind; the transit, stay-block and stay rules
+    apply only where a stay separates a city's arrival from its departure.
+    """
     issues: list[Violation] = []
     i = vehicle.id
-    # The hard rules are pairwise, mirroring the penalty structure: being
-    # at b in interval tau forbids being anywhere else before the nominal
-    # travel time has elapsed, and at exactly the nominal gap the
-    # capacity status must follow the leg's variation vector.
-    for x in range(len(events)):
-        for y in range(x + 1, len(events)):
-            ev_b, ev_a = events[x], events[y]
-            if ev_a.city == ev_b.city:
-                continue
-            if ev_b.tau > inst.horizon - 1:
-                continue
-            nominal = inst.duration(ev_b.tau, ev_a.city, ev_b.city)
-            gap = ev_a.tau - ev_b.tau
-            if gap < nominal:
-                issues.append(
-                    Violation(
-                        "EARLY_ARRIVAL",
-                        f"vehicle {i} reaches {ev_a.city} at {ev_a.tau} only {gap} after leaving "
-                        f"{ev_b.city} at {ev_b.tau} (needs {nominal})",
-                        True,
-                    )
-                )
-            elif gap == nominal:
-                expected = tuple(
-                    c + d
-                    for c, d in zip(
-                        ev_b.capacity, inst.variation(ev_b.tau, ev_a.city, ev_b.city)
-                    )
-                )
-                if ev_a.capacity != expected:
-                    issues.append(
-                        Violation(
-                            "CAPACITY_TRANSITION",
-                            f"vehicle {i} leg {ev_b.city}->{ev_a.city} at {ev_b.tau}: capacity "
-                            f"{ev_b.capacity}->{ev_a.capacity}, expected {expected}",
-                            True,
-                        )
-                    )
-    # Consecutive legs longer than nominal carry no penalty pair; they are
-    # acceptable only under window pressure, and their capacity handover,
-    # while physically required, is not energy-priced.
-    for prev, nxt in zip(events, events[1:]):
-        if prev.city == nxt.city:
-            continue  # flagged as REVISIT elsewhere
-        if prev.tau > inst.horizon - 1:
-            continue
-        nominal = inst.duration(prev.tau, nxt.city, prev.city)
-        gap = nxt.tau - prev.tau
-        if gap > nominal:
-            forced = _window_blocks(inst, i, prev.tau + nominal, nxt.city)
-            if mode == MODE_STRICT or not forced:
-                issues.append(
-                    Violation(
-                        "LATE_ARRIVAL",
-                        f"vehicle {i} takes {gap} intervals from {prev.city} to {nxt.city} "
-                        f"(nominal {nominal}, departing {prev.tau})",
-                        False,
-                    )
-                )
-            expected = tuple(
-                c + d
-                for c, d in zip(prev.capacity, inst.variation(prev.tau, nxt.city, prev.city))
-            )
-            if nxt.capacity != expected:
-                issues.append(
-                    Violation(
-                        "CAPACITY_TRANSITION",
-                        f"vehicle {i} overtime leg {prev.city}->{nxt.city}: capacity "
-                        f"{prev.capacity}->{nxt.capacity}, expected {expected}",
-                        False,
-                    )
-                )
-    return issues
+    last = inst.horizon - 1  # the last interval a leg or a stay can start in
+    two_state = inst.stateful
+    if two_state:
+        deps = [e for e in events if e.state == DEPARTURE]
+        arrs = [e for e in events if e.state == ARRIVAL]
+    else:
+        deps = arrs = events
 
-
-def _stateful_vehicle_checks(events, vehicle, inst: Instance, mode: str) -> list[Violation]:
-    issues: list[Violation] = []
-    i = vehicle.id
-    horizon = inst.horizon
-
-    # Hard layer: pairwise rules mirroring the penalty families.  Travel
-    # pins every later event; stays pin departures from the same city;
-    # fresh arrivals block further arrivals for their service span.
-    deps = [e for e in events if e.state == DEPARTURE]
-    arrs = [e for e in events if e.state == ARRIVAL]
+    # Hard layer: pairwise rules mirroring the penalty families.  Leaving
+    # d forbids reaching any other city before the nominal travel time
+    # has elapsed, and at exactly the nominal gap the capacity status must
+    # follow the leg's variation vector.  Two-state travel also blocks
+    # departures in transit; fresh arrivals block further arrivals and
+    # their own departure for the stay.
     for d in deps:
-        if d.tau > horizon - 1:
+        if d.tau > last:
             continue
         for a in arrs:
             if a.city == d.city or a.tau <= d.tau:
@@ -441,15 +382,12 @@ def _stateful_vehicle_checks(events, vehicle, inst: Instance, mode: str) -> list
                     Violation(
                         "EARLY_ARRIVAL",
                         f"vehicle {i} reaches {a.city} at {a.tau} only {gap} after "
-                        f"departing {d.city} at {d.tau} (needs {nominal})",
+                        f"leaving {d.city} at {d.tau} (needs {nominal})",
                         True,
                     )
                 )
             elif gap == nominal:
-                expected = tuple(
-                    c + dd
-                    for c, dd in zip(d.capacity, inst.variation(d.tau, a.city, d.city))
-                )
+                expected = _carried(d.capacity, inst.variation(d.tau, a.city, d.city))
                 if a.capacity != expected:
                     issues.append(
                         Violation(
@@ -459,6 +397,8 @@ def _stateful_vehicle_checks(events, vehicle, inst: Instance, mode: str) -> list
                             True,
                         )
                     )
+        if not two_state:
+            continue
         for d2 in deps:
             if d2.city == d.city or d2.tau <= d.tau:
                 continue
@@ -471,128 +411,130 @@ def _stateful_vehicle_checks(events, vehicle, inst: Instance, mode: str) -> list
                         True,
                     )
                 )
-    for a in arrs:
-        if a.tau > horizon - 1:
-            continue
-        hold = inst.stay(a.tau, a.city)
-        for a2 in arrs:
-            if a2.city == a.city or a2.tau <= a.tau:
+    if two_state:
+        for a in arrs:
+            if a.tau > last:
                 continue
-            if a2.tau - a.tau <= hold:
-                issues.append(
-                    Violation(
-                        "STATE_TRANSITION",
-                        f"vehicle {i} arrives at {a2.city} at {a2.tau} while still being "
-                        f"served at {a.city} (arrived {a.tau})",
-                        True,
+            hold = inst.stay(a.tau, a.city)
+            for a2 in arrs:
+                if a2.city == a.city or a2.tau <= a.tau:
+                    continue
+                if a2.tau - a.tau <= hold:
+                    issues.append(
+                        Violation(
+                            "STATE_TRANSITION",
+                            f"vehicle {i} arrives at {a2.city} at {a2.tau} while still being "
+                            f"served at {a.city} (arrived {a.tau})",
+                            True,
+                        )
                     )
-                )
-        for d in deps:
-            if d.city != a.city or d.tau <= a.tau:
-                continue
-            gap = d.tau - a.tau
-            if gap < hold:
-                issues.append(
-                    Violation(
-                        "STAY_DURATION",
-                        f"vehicle {i} leaves {a.city} after {gap} intervals (needs {hold})",
-                        True,
+            for d in deps:
+                if d.city != a.city or d.tau <= a.tau:
+                    continue
+                gap = d.tau - a.tau
+                if gap < hold:
+                    issues.append(
+                        Violation(
+                            "STAY_DURATION",
+                            f"vehicle {i} leaves {a.city} after {gap} intervals (needs {hold})",
+                            True,
+                        )
                     )
-                )
-            elif gap == hold and d.capacity != a.capacity:
-                issues.append(
-                    Violation(
-                        "CAPACITY_TRANSITION",
-                        f"vehicle {i} stay at {a.city} changes capacity "
-                        f"{a.capacity}->{d.capacity}",
-                        True,
+                elif gap == hold and d.capacity != a.capacity:
+                    issues.append(
+                        Violation(
+                            "CAPACITY_TRANSITION",
+                            f"vehicle {i} stay at {a.city} changes capacity "
+                            f"{a.capacity}->{d.capacity}",
+                            True,
+                        )
                     )
-                )
 
-    # Soft layer: timeline shapes the energy merely discourages.
+    # Soft layer: timeline shapes the energy merely discourages.  Legs
+    # and stays longer than nominal carry no penalty pair; they are
+    # acceptable only under window pressure, and their capacity handover,
+    # while physically required, is not energy-priced.
     for prev, nxt in zip(events, events[1:]):
-        if prev.state == nxt.state:
-            if prev.city != nxt.city:
-                hard_pair = False  # the in-window cases were flagged above
+        if two_state and prev.state == nxt.state:
+            if prev.city != nxt.city:  # the in-window cases were flagged above
                 issues.append(
                     Violation(
                         "STATE_TRANSITION",
                         f"vehicle {i}: consecutive {prev.state} events at intervals "
                         f"{prev.tau}, {nxt.tau}",
-                        hard_pair,
-                    )
-                )
-            continue
-        if prev.state == DEPARTURE:
-            if prev.city == nxt.city:
-                issues.append(
-                    Violation(
-                        "STATE_TRANSITION",
-                        f"vehicle {i} departs and re-arrives at city {prev.city} without traveling",
                         False,
                     )
                 )
+        elif not two_state or prev.state == DEPARTURE:
+            if prev.city == nxt.city:
+                if two_state:  # a single-state repeat is a REVISIT
+                    issues.append(
+                        Violation(
+                            "STATE_TRANSITION",
+                            f"vehicle {i} departs and re-arrives at city {prev.city} without traveling",
+                            False,
+                        )
+                    )
                 continue
-            if prev.tau > horizon - 1:
+            if prev.tau > last:
                 continue
             nominal = inst.duration(prev.tau, nxt.city, prev.city)
             gap = nxt.tau - prev.tau
-            if gap > nominal:
-                forced = _window_blocks(inst, i, prev.tau + nominal, nxt.city)
-                if mode == MODE_STRICT or not forced:
-                    issues.append(
-                        Violation(
-                            "LATE_ARRIVAL",
-                            f"vehicle {i} travels {prev.city}->{nxt.city} in {gap} intervals "
-                            f"(nominal {nominal}, departing {prev.tau})",
-                            False,
-                        )
-                    )
-                if nxt.capacity != tuple(
-                    c + dd
-                    for c, dd in zip(prev.capacity, inst.variation(prev.tau, nxt.city, prev.city))
-                ):
-                    issues.append(
-                        Violation(
-                            "CAPACITY_TRANSITION",
-                            f"vehicle {i} overtime leg {prev.city}->{nxt.city} changes "
-                            f"capacity inconsistently",
-                            False,
-                        )
-                    )
-        else:
-            if prev.city != nxt.city:
+            if gap <= nominal:
+                continue
+            if mode == MODE_STRICT or not _window_blocks(inst, i, prev.tau + nominal, nxt.city):
                 issues.append(
                     Violation(
-                        "STATE_TRANSITION",
-                        f"vehicle {i} arrives at {prev.city} but departs from {nxt.city}",
+                        "LATE_ARRIVAL",
+                        f"vehicle {i} takes {gap} intervals from {prev.city} to {nxt.city} "
+                        f"(nominal {nominal}, departing {prev.tau})",
                         False,
                     )
                 )
-                continue
-            if prev.tau > horizon - 1:
-                continue
+            expected = _carried(prev.capacity, inst.variation(prev.tau, nxt.city, prev.city))
+            if nxt.capacity != expected:
+                issues.append(
+                    Violation(
+                        "CAPACITY_TRANSITION",
+                        f"vehicle {i} overtime leg {prev.city}->{nxt.city}: capacity "
+                        f"{prev.capacity}->{nxt.capacity}, expected {expected}",
+                        False,
+                    )
+                )
+        elif prev.city != nxt.city:
+            issues.append(
+                Violation(
+                    "STATE_TRANSITION",
+                    f"vehicle {i} arrives at {prev.city} but departs from {nxt.city}",
+                    False,
+                )
+            )
+        elif prev.tau <= last:
             hold = inst.stay(prev.tau, prev.city)
             gap = nxt.tau - prev.tau
-            if gap > hold:
-                forced = _window_blocks(inst, i, prev.tau + hold, prev.city)
-                if mode == MODE_STRICT or not forced:
-                    issues.append(
-                        Violation(
-                            "LATE_DEPARTURE",
-                            f"vehicle {i} overstays at {prev.city}: {gap} intervals (nominal {hold})",
-                            False,
-                        )
+            if gap <= hold:
+                continue
+            if mode == MODE_STRICT or not _window_blocks(inst, i, prev.tau + hold, prev.city):
+                issues.append(
+                    Violation(
+                        "LATE_DEPARTURE",
+                        f"vehicle {i} overstays at {prev.city}: {gap} intervals (nominal {hold})",
+                        False,
                     )
-                if nxt.capacity != prev.capacity:
-                    issues.append(
-                        Violation(
-                            "CAPACITY_TRANSITION",
-                            f"vehicle {i} overtime stay at {prev.city} changes capacity",
-                            False,
-                        )
+                )
+            if nxt.capacity != prev.capacity:
+                issues.append(
+                    Violation(
+                        "CAPACITY_TRANSITION",
+                        f"vehicle {i} overtime stay at {prev.city} changes capacity",
+                        False,
                     )
+                )
     return issues
+
+
+def _carried(capacity: tuple[int, ...], variation: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(c + d for c, d in zip(capacity, variation))
 
 
 def _fleet_checks(plan: RoutePlan, inst: Instance) -> list[Violation]:
@@ -745,10 +687,10 @@ def stats(
 def read_plan(path, index: int = 0) -> RoutePlan:
     """Read a plan document; an optimal-plans file selects by index."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "plans" in doc:
-        plans = doc["plans"]
-        if not plans:
-            raise ValueError("plan file contains no plans")
-        return RoutePlan.from_document(plans[index])
-    return RoutePlan.from_document(doc)
+        doc = _object(json.load(fh), "plan document")
+    if "plans" not in doc:
+        return RoutePlan.from_document(doc)
+    plans = _list(doc["plans"], "plans")
+    if not 0 <= index < len(plans):
+        raise ValueError(f"plan index {index} is outside the file's {len(plans)} plans")
+    return RoutePlan.from_document(plans[index])

@@ -1,9 +1,11 @@
-"""QUBO builders for the four routing model kinds.
+"""The QUBO builder for the four routing model kinds.
 
-All builders share one emission engine.  Travel and stay moves carry
-negatively shifted cost coefficients ``(d - mu) / rho`` so that every
-allowed move is rewarded; every forbidden qubit pair carries exactly
-``+lam``.  Penalty pairs are deduplicated per family, so a pair that a
+TS-VRP, TS-MCVRP, TS-SVRP and TS-MCSVRP are one time-table model: the
+kind only decides which states and capacity statuses the catalogue
+enumerates, so one emission engine builds them all.  Travel and stay
+moves carry negatively shifted cost coefficients ``(d - mu) / rho`` so
+that every allowed move is rewarded; every forbidden qubit pair carries
+exactly ``+lam``.  Penalty pairs are deduplicated per family, so a pair that a
 model description would generate twice (for instance once directly and
 once with arrival/departure roles toggled) still receives a single
 ``+lam``.
@@ -111,7 +113,7 @@ class _Assembler:
         self.inst = inst
         self.params = params
         self.catalogue = catalogue if catalogue is not None else build_catalogue(inst)
-        if self.catalogue.instance is not inst and self.catalogue.instance != inst:
+        if self.catalogue.instance is not inst:
             raise BuildError("catalogue belongs to a different instance")
         self.model = QuboModel(self.catalogue, params=params)
         self._pairs: dict[str, set[tuple[VariableKey, VariableKey]]] = {
@@ -212,12 +214,6 @@ class _Assembler:
                                                 VariableKey(vj.id, tau2, a, cb, sb),
                                             )
 
-    def finish(self, xi: float) -> QuboModel:
-        self.flush_penalties()
-        if xi:
-            self.model.apply_uniform_bias(xi)
-        return self.model.finalize()
-
 
 def _in_bounds(c: tuple[int, ...], lo, hi) -> bool:
     return all(l <= x <= h for x, l, h in zip(c, lo, hi))
@@ -227,14 +223,19 @@ def _shift(c: tuple[int, ...], delta: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + d for x, d in zip(c, delta))
 
 
-def _assemble(asm: _Assembler, xi: float) -> QuboModel:
-    """Emit the travel block, plus the stay block for two-state models.
+def build_model(
+    inst: Instance, params: PenaltyParameters, *, catalogue: VariableCatalogue | None = None
+) -> QuboModel:
+    """Build the QUBO of the instance's model kind.
 
-    A single-state leg is the two-state leg with arrival and departure on
-    one event.  Only single-state vehicles lock their destination;
-    two-state vehicles lose its departure slots in the catalogue instead.
+    Every kind emits the travel block; two-state kinds add the stay
+    block.  A single-state leg is the two-state leg with arrival and
+    departure on one event.  Only single-state vehicles lock their
+    destination; two-state vehicles lose its departure slots in the
+    catalogue instead.  A given ``catalogue`` must have been built from
+    this very ``inst`` object.
     """
-    inst = asm.inst
+    asm = _Assembler(inst, params, catalogue)
     t, n = inst.horizon, inst.n_cities
     stateful = inst.stateful
     arrival, departure = (ARRIVAL, DEPARTURE) if stateful else (PLAIN, PLAIN)
@@ -345,95 +346,8 @@ def _assemble(asm: _Assembler, xi: float) -> QuboModel:
                                     VariableKey(v.id, tau, b, c, ARRIVAL),
                                 )
     asm.exclusions()
-    return asm.finish(xi)
-
-
-def _builder(
-    inst: Instance,
-    params: PenaltyParameters,
-    kinds: tuple[str, ...],
-    xi: float,
-    catalogue: VariableCatalogue | None,
-) -> QuboModel:
-    if inst.model_kind not in kinds:
-        raise BuildError(f"instance has model_kind {inst.model_kind}, expected one of {kinds}")
-    return _assemble(_Assembler(inst, params, catalogue), xi)
-
-
-def build_ts_vrp(
-    inst: Instance,
-    params: PenaltyParameters,
-    *,
-    xi: float = 0.0,
-    catalogue: VariableCatalogue | None = None,
-) -> QuboModel:
-    """Single-state, uncapacitated time-gridded routing model."""
-    if inst.capacity_dims != 0:
-        raise BuildError("TS_VRP requires capacity_dims = 0")
-    return _builder(inst, params, ("TS_VRP",), xi, catalogue)
-
-
-def build_ts_mcvrp(
-    inst: Instance,
-    params: PenaltyParameters,
-    *,
-    xi: float = 0.0,
-    catalogue: VariableCatalogue | None = None,
-) -> QuboModel:
-    """Single-state model whose qubits carry a capacity status vector."""
-    if inst.capacity_dims < 1:
-        raise BuildError("TS_MCVRP requires capacity_dims >= 1")
-    if inst.variations is None:
-        raise BuildError("TS_MCVRP requires a variation series")
-    return _builder(inst, params, ("TS_MCVRP",), xi, catalogue)
-
-
-def build_ts_svrp(
-    inst: Instance,
-    params: PenaltyParameters,
-    *,
-    xi: float = 0.0,
-    catalogue: VariableCatalogue | None = None,
-) -> QuboModel:
-    """Two-state (arrival/departure) model with explicit stay scheduling."""
-    if inst.durations.stay is None:
-        raise BuildError("TS_SVRP requires stay durations")
-    if inst.capacity_dims != 0:
-        raise BuildError("TS_SVRP requires capacity_dims = 0")
-    return _builder(inst, params, ("TS_SVRP",), xi, catalogue)
-
-
-def build_ts_mcsvrp(
-    inst: Instance,
-    params: PenaltyParameters,
-    *,
-    xi: float = 0.0,
-    catalogue: VariableCatalogue | None = None,
-) -> QuboModel:
-    """Two-state capacitated model: travel applies the variation vector,
-    stays hand the capacity status over unchanged.
-
-    With zero capacity dimensions the capacity machinery is empty and the
-    build reduces exactly to :func:`build_ts_svrp`, so plain two-state
-    instances are accepted as the degenerate case.
-    """
-    if inst.durations.stay is None:
-        raise BuildError("TS_MCSVRP requires stay durations")
-    kinds = ("TS_MCSVRP",) if inst.capacity_dims >= 1 else ("TS_MCSVRP", "TS_SVRP")
-    return _builder(inst, params, kinds, xi, catalogue)
-
-
-_BUILDERS = {
-    "TS_VRP": build_ts_vrp,
-    "TS_MCVRP": build_ts_mcvrp,
-    "TS_SVRP": build_ts_svrp,
-    "TS_MCSVRP": build_ts_mcsvrp,
-}
-
-
-def build_model(inst: Instance, params: PenaltyParameters, **kwargs) -> QuboModel:
-    """Build the QUBO matching the instance's model kind."""
-    return _BUILDERS[inst.model_kind](inst, params, **kwargs)
+    asm.flush_penalties()
+    return asm.model.finalize()
 
 
 def term_summary(model: QuboModel) -> dict[str, int]:

@@ -32,15 +32,6 @@ class InstanceError(ValueError):
     """An instance document or field violates the format contract."""
 
 
-def intervals_for(raw_minutes: float, unit_minutes: float) -> int:
-    """Number of grid intervals a raw duration occupies (at least 1)."""
-    if raw_minutes < 0:
-        raise InstanceError(f"raw duration must be non-negative, got {raw_minutes}")
-    if unit_minutes <= 0:
-        raise InstanceError(f"unit_minutes must be positive, got {unit_minutes}")
-    return max(1, math.ceil(raw_minutes / unit_minutes - _CEIL_SLACK))
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform division of the planning horizon into T intervals."""
@@ -189,9 +180,6 @@ class WindowSet:
     def sorted_triples(self) -> list[tuple[int, int, int]]:
         return sorted(self.forbidden)
 
-    def __or__(self, other: "WindowSet") -> "WindowSet":
-        return WindowSet(self.forbidden | other.forbidden)
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -330,6 +318,8 @@ def discretize_durations(
     and above at T + 1: a leg that long ends past the horizon whenever it
     departs, and the clamp keeps a huge count from wrapping in the cast.
     """
+    if not (math.isfinite(unit_minutes) and unit_minutes > 0):
+        raise InstanceError(f"unit_minutes must be positive and finite, got {unit_minutes}")
     raw = np.asarray(raw_minutes, dtype=float)
     if raw.ndim != 3 or raw.shape[1] != raw.shape[2]:
         raise InstanceError(f"raw minutes must have shape (T-1, N, N), got {raw.shape}")

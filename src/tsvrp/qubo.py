@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .instance import Instance, WindowSet, capacity_box, write_json
+from .instance import Instance, capacity_box, write_json
 
 PLAIN = "plain"
 ARRIVAL = "arrival"
@@ -63,7 +63,6 @@ class VariableCatalogue:
     fixed: dict[VariableKey, int]
     states: tuple[str, ...]
     capacity_blocks: dict[int, tuple[tuple[int, ...], ...]]
-    extra_forbidden: frozenset[tuple[int, int, int]] = frozenset()
     _index: dict[VariableKey, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -119,9 +118,7 @@ def _all_keys(
                         yield VariableKey(v.id, tau, a, c, state)
 
 
-def build_catalogue(
-    inst: Instance, extra_forbidden: Iterable[tuple[int, int, int]] = ()
-) -> VariableCatalogue:
+def build_catalogue(inst: Instance) -> VariableCatalogue:
     """Enumerate all keys of an instance and apply boundary/window fixes.
 
     Interval-1 keys are pinned so each vehicle occupies exactly its start
@@ -133,7 +130,6 @@ def build_catalogue(
     blocks = {
         v.id: capacity_box(v.capacity_lower, v.capacity_upper) for v in inst.vehicles
     }
-    forbidden = set(inst.windows.forbidden) | set(extra_forbidden)
 
     fixed: dict[VariableKey, int] = {}
 
@@ -173,9 +169,7 @@ def build_catalogue(
                 for c in blocks[v.id]:
                     fix(VariableKey(v.id, tau, e, c, DEPARTURE), 0, "end boundary")
 
-    for (i, tau, a) in sorted(forbidden):
-        if not (1 <= i <= inst.n_vehicles and 1 <= tau <= t and 1 <= a <= n):
-            raise BuildError(f"window triple {(i, tau, a)} references invalid indices")
+    for (i, tau, a) in inst.windows.sorted_triples():
         for state in states:
             for c in blocks[i]:
                 key = VariableKey(i, tau, a, c, state)
@@ -189,14 +183,7 @@ def build_catalogue(
         fixed=fixed,
         states=states,
         capacity_blocks=blocks,
-        extra_forbidden=frozenset(extra_forbidden),
     )
-
-
-def apply_windows(catalogue: VariableCatalogue, windows: WindowSet) -> VariableCatalogue:
-    """Return a new catalogue with additional forbidden triples fixed to 0."""
-    extra = catalogue.extra_forbidden | windows.forbidden
-    return build_catalogue(catalogue.instance, extra)
 
 
 class TermRecord(NamedTuple):
@@ -271,14 +258,6 @@ class QuboModel:
         else:
             i, j = (val_a, val_b) if val_a < val_b else (val_b, val_a)
             self.quadratic[(i, j)] = self.quadratic.get((i, j), 0.0) + coeff
-
-    def apply_uniform_bias(self, xi: float) -> None:
-        """Subtract ``xi`` from every free variable's linear coefficient."""
-        if xi == 0.0:
-            return
-        self._check_open()
-        for idx in range(self.n_vars):
-            self.linear[idx] = self.linear.get(idx, 0.0) - xi
 
     def finalize(self) -> "QuboModel":
         """Drop stored zeros and freeze the model for evaluation."""

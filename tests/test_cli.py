@@ -587,3 +587,123 @@ def test_instance_fuzz_never_ends_in_internal_error(tmp_path_factory, pair):
     common = ["--instance", str(instance), "--out", str(base / "out.json")]
     assert main(["oracle", *common, "--max-nodes", "2000"]) in (0, 1, 2)
     assert main(["check", *common, "--plan", str(plan)]) in (0, 1, 2)
+
+
+def _check(tmp_path, case, doc, *extra):
+    instance = tmp_path / "instance.json"
+    instance.write_text(serialize_instance(case.instance))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    common = ["--instance", str(instance), "--out", str(tmp_path / "report.json")]
+    return main(["check", *common, "--plan", str(plan), *extra])
+
+
+def _optimal_plan_document(case):
+    _, plans = enumerate_optimal_routes(case.instance)
+    return plans[0].to_document()
+
+
+def _event(field, value):
+    def mutate(doc):
+        doc["vehicles"][0]["events"][1][field] = value
+        return doc
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, extra",
+    [
+        (lambda d: {"vehicles": 5}, ()),
+        (lambda d: {"vehicles": [5]}, ()),
+        (lambda d: {"vehicles": [{"vehicle": 1, "events": [1]}]}, ()),
+        (_event("tau", [1]), ()),
+        (_event("tau", 1.5), ()),
+        (_event("tau", True), ()),
+        (_event("state", 7), ()),
+        (_event("state", "parked"), ()),
+        (_event("capacity", 3), ()),
+        (lambda d: {"vehicles": d["vehicles"] * 2}, ()),
+        (lambda d: {"plans": [1]}, ()),
+        (lambda d: {"plans": 3}, ()),
+        (lambda d: [1], ()),
+        (lambda d: {"plans": [d]}, ("--plan-index", "1")),
+        (lambda d: {"plans": [d]}, ("--plan-index", "-1")),
+    ],
+    ids=[
+        "vehicles-not-list",
+        "vehicle-not-object",
+        "event-not-object",
+        "list-tau",
+        "fractional-tau",
+        "boolean-tau",
+        "integer-state",
+        "unknown-state",
+        "scalar-capacity",
+        "vehicle-twice",
+        "plan-not-object",
+        "plans-not-list",
+        "top-level-list",
+        "index-past-end",
+        "negative-index",
+    ],
+)
+def test_check_rejects_malformed_plan_documents(tmp_path, mutate, extra):
+    case = three_city_dense()
+    assert _check(tmp_path, case, mutate(_optimal_plan_document(case)), *extra) == 2
+
+
+def _foreign_vehicle(doc):
+    route = doc["vehicles"][0]
+    return {"vehicles": [{"vehicle": 1, "events": route["events"][:1]}, {**route, "vehicle": 7}]}
+
+
+@pytest.mark.parametrize(
+    "mutate, kind",
+    [(_foreign_vehicle, "UNKNOWN_VEHICLE"), (_event("city", 9), "WINDOW"), (_event("city", 0), "WINDOW")],
+    ids=["unknown-vehicle", "city-past-the-map", "city-zero"],
+)
+def test_check_flags_plans_outside_the_instance(tmp_path, mutate, kind):
+    # An unknown vehicle used to carry the whole route to a feasible
+    # verdict; city 9 ended in an internal error and city 0 read as city 3.
+    case = three_city_dense()
+    assert _check(tmp_path, case, mutate(_optimal_plan_document(case))) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (kind, True) in {(v["kind"], v["hard"]) for v in report["violations"]}
+
+
+def _plan_fuzz(case, oracle_file, targeted):
+    """Mutated oracle plan documents, with a --plan-index.
+
+    Untargeted examples take up to three mutations anywhere; targeted
+    ones set one event field to a small integer (off the grid, off the
+    map, an unknown vehicle) and take up to two more.
+    """
+    best, plans = enumerate_optimal_routes(case.instance)
+    doc = plans[0].to_document()
+    if oracle_file:
+        doc = {"optimal_cost": best, "plans": [p.to_document() for p in plans]}
+    paths = list(_paths(doc))
+    anything = st.tuples(st.sampled_from(paths), st.just(_DELETE) | _json_values)
+    mutations = st.lists(anything, min_size=1, max_size=3)
+    if targeted:
+        fields = [p for p in paths if p[-1] in ("vehicle", "tau", "city", "state", "capacity")]
+        field = st.tuples(st.sampled_from(fields), st.integers(-1, 9))
+        mutations = st.tuples(field, st.lists(anything, max_size=2)).map(lambda m: [m[0], *m[1]])
+    index = st.just(0) | st.integers(-2, 2)
+    return st.tuples(st.just(case), mutations.map(lambda m: _apply(doc, m)), index)
+
+
+def _check_fuzz_example(tmp_path_factory, triple):
+    case, doc, index = triple
+    assert _check(tmp_path_factory.mktemp("fuzz"), case, doc, "--plan-index", str(index)) in (0, 1, 2)
+
+
+@given(triple=_plan_fuzz(three_city_dense(), True, False) | _plan_fuzz(mcsvrp_two_city(), False, False))
+def test_plan_fuzz_never_ends_in_internal_error(tmp_path_factory, triple):
+    _check_fuzz_example(tmp_path_factory, triple)
+
+
+@given(triple=_plan_fuzz(three_city_dense(), False, True) | _plan_fuzz(mcsvrp_two_city(), True, True))
+def test_plan_field_fuzz_never_ends_in_internal_error(tmp_path_factory, triple):
+    _check_fuzz_example(tmp_path_factory, triple)

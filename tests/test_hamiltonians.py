@@ -13,11 +13,10 @@ from tsvrp import (
     VariationSeries,
     Vehicle,
     WindowSet,
+    build_catalogue,
     build_model,
-    build_ts_mcsvrp,
-    build_ts_mcvrp,
-    build_ts_svrp,
-    build_ts_vrp,
+    parse_instance,
+    serialize_instance,
     standard_parameters,
 )
 from tsvrp.hamiltonians import COST_FAMILIES, PENALTY_FAMILIES
@@ -71,7 +70,7 @@ def test_standard_parameters_flat_costs():
 def test_flat_costs_build_prices_every_move_at_minus_lambda():
     inst = plain_instance(3, 3, np.where(np.eye(3), 0.0, 7.0)[None].repeat(2, axis=0))
     params = standard_parameters(inst.costs, 1.0)
-    model = build_ts_vrp(inst, params)
+    model = build_model(inst, params)
     cost_records = [r for r in model.records if r.family in COST_FAMILIES]
     assert cost_records
     assert all(r.coefficient == pytest.approx(-1.0) for r in cost_records)
@@ -99,7 +98,7 @@ def test_minimal_model_hand_expansion():
     # reward is the folded travel term on the second-city slot.
     inst = plain_instance(2, 2, np.where(np.eye(2), 0.0, 5.0)[None])
     params = standard_parameters(inst.costs, 1.0)
-    model = build_ts_vrp(inst, params)
+    model = build_model(inst, params)
     cat = model.catalogue
     idx_city1 = cat.index_of(VariableKey(1, 2, 1, (), PLAIN))
     idx_city2 = cat.index_of(VariableKey(1, 2, 2, (), PLAIN))
@@ -116,7 +115,7 @@ def test_same_interval_pair_count(k):
         t, n, np.where(np.eye(n), 0.0, 2.0)[None].repeat(t - 1, axis=0), vehicles=vehicles
     )
     params = standard_parameters(inst.costs, 1.0)
-    model = build_ts_vrp(inst, params)
+    model = build_model(inst, params)
     assert model.term_counts["city_clash"] == k * t * n * (n - 1) // 2
 
 
@@ -126,7 +125,7 @@ def test_early_arrival_pair_count_for_long_leg():
     costs = np.where(np.eye(3), 0.0, 2.0)[None].repeat(4, axis=0)
     inst = plain_instance(5, 3, costs, durations)
     params = standard_parameters(inst.costs, 1.0)
-    model = build_ts_vrp(inst, params)
+    model = build_model(inst, params)
     departure = VariableKey(1, 1, 1, (), PLAIN)
     hits = [
         other
@@ -141,7 +140,7 @@ def test_early_arrival_pair_count_for_long_leg():
 def test_travel_cost_term_count_matches_reachable_legs():
     inst = plain_instance(4, 3, np.where(np.eye(3), 0.0, 2.0)[None].repeat(3, axis=0))
     params = standard_parameters(inst.costs, 1.0)
-    model = build_ts_vrp(inst, params)
+    model = build_model(inst, params)
     expected = sum(
         1
         for tau in range(1, 4)
@@ -158,7 +157,7 @@ def test_end_city_fixes_unreachable_slots_and_locks_departures():
     durations[:, 3 - 1, 2 - 1] = 2  # city 2 is two intervals from the end city
     inst = plain_instance(4, 3, costs, durations, vehicles=[Vehicle(id=1, start_city=1, end_city=3)])
     params = standard_parameters(inst.costs, 1.0)
-    model = build_ts_vrp(inst, params)
+    model = build_model(inst, params)
     cat = model.catalogue
     # interval 4 allows only the end city; city 2 dies one interval earlier
     assert cat.fixed[VariableKey(1, 4, 1, (), PLAIN)] == 0
@@ -177,13 +176,15 @@ def test_end_city_fixes_unreachable_slots_and_locks_departures():
         assert other.tau > end_side.tau and other.city != 3
 
 
-def test_builder_rejects_kind_mismatch():
-    case = two_city_plain()
-    params = standard_parameters(case.instance.costs, 1.0)
-    with pytest.raises(BuildError):
-        build_ts_mcvrp(case.instance, params)
-    with pytest.raises(BuildError):
-        build_ts_svrp(case.instance, params)
+def test_catalogue_from_another_instance_is_refused():
+    case = three_city_dense()
+    params = standard_parameters(case.instance.costs, case.lam)
+    twin = parse_instance(serialize_instance(case.instance))  # equal, but another object
+    for other in (two_city_plain().instance, twin):
+        with pytest.raises(BuildError, match="different instance"):
+            build_model(case.instance, params, catalogue=build_catalogue(other))
+    own = build_model(case.instance, params, catalogue=build_catalogue(case.instance))
+    assert own.fingerprint() == build_model(case.instance, params).fingerprint()
 
 
 # -- capacitated builder --------------------------------------------------------
@@ -218,7 +219,7 @@ def capacitated_instance(b_value: int, q=0, qq=2, start=None):
 def test_capacity_shift_targets_correct_status():
     inst = capacitated_instance(b_value=+1, start=1)
     params = standard_parameters(inst.costs, 1.0)
-    model = build_ts_mcvrp(inst, params)
+    model = build_model(inst, params)
     costs = [
         r
         for r in model.records
@@ -239,7 +240,7 @@ def test_capacity_shift_targets_correct_status():
 def test_out_of_bounds_move_has_no_cost_and_full_penalty():
     inst = capacitated_instance(b_value=-1, start=0)
     params = standard_parameters(inst.costs, 1.0)
-    model = build_ts_mcvrp(inst, params)
+    model = build_model(inst, params)
     departure = VariableKey(1, 1, 1, (0,), PLAIN)
     costs = [
         r for r in model.records if r.family == "travel_cost" and departure in (r.key_a, r.key_b)
@@ -273,7 +274,7 @@ def test_multi_dimension_capacity_clash_count():
         capacity_dims=2,
     )
     params = standard_parameters(inst.costs, 1.0)
-    model = build_ts_mcvrp(inst, params)
+    model = build_model(inst, params)
     # radices 2 x 3 give 6 statuses per cell: C(6, 2) = 15 pairs, per (tau, city)
     assert model.term_counts["capacity_clash"] == 15 * inst.horizon * inst.n_cities
 
@@ -303,7 +304,7 @@ def two_state_instance(stay_at_one=1, d_low=4.0, d_high=10.0, t=3):
 def test_unit_stay_has_cost_and_no_early_departure():
     inst = two_state_instance(stay_at_one=1)
     params = standard_parameters(inst.costs, 2.0)
-    model = build_ts_svrp(inst, params)
+    model = build_model(inst, params)
     stays = [r for r in model.records if r.family == "stay_cost"]
     assert stays
     assert model.term_counts["early_departure"] == 0
@@ -314,7 +315,7 @@ def test_stay_coefficient_value():
     inst = two_state_instance()
     params = standard_parameters(inst.costs, 2.0)
     assert params.mu == pytest.approx(10.0) and params.rho == pytest.approx(3.0)
-    model = build_ts_svrp(inst, params)
+    model = build_model(inst, params)
     stays = [r for r in model.records if r.family == "stay_cost"]
     assert stays
     assert all(r.coefficient == pytest.approx(-10.0 / 3.0) for r in stays)
@@ -323,7 +324,7 @@ def test_stay_coefficient_value():
 def test_same_cell_state_clash_always_present():
     inst = two_state_instance()
     params = standard_parameters(inst.costs, 2.0)
-    model = build_ts_svrp(inst, params)
+    model = build_model(inst, params)
     assert model.term_counts["state_clash"] == inst.horizon * inst.n_cities
     pairs = [
         (r.key_a, r.key_b) for r in model.records if r.family == "state_clash"
@@ -337,7 +338,7 @@ def test_same_cell_state_clash_always_present():
 def test_exclusion_block_is_hat_toggle_invariant():
     inst = two_state_instance(t=4)
     params = standard_parameters(inst.costs, 2.0)
-    model = build_ts_svrp(inst, params)
+    model = build_model(inst, params)
     exclusion_families = {
         "state_clash",
         "city_clash",
@@ -357,20 +358,10 @@ def test_exclusion_block_is_hat_toggle_invariant():
     assert toggled == pairs
 
 
-def test_mcsvrp_reduces_to_svrp_when_uncapacitated():
-    inst = two_state_instance()
-    params = standard_parameters(inst.costs, 2.0)
-    reference = build_ts_svrp(inst, params)
-    degenerate = build_ts_mcsvrp(inst, params)
-    assert degenerate.linear == pytest.approx(reference.linear)
-    assert degenerate.quadratic == pytest.approx(reference.quadratic)
-    assert degenerate.constant == pytest.approx(reference.constant)
-
-
 def test_mcsvrp_stay_preserves_capacity():
     case = mcsvrp_two_city()
     params = standard_parameters(case.instance.costs, case.lam)
-    model = build_ts_mcsvrp(case.instance, params)
+    model = build_model(case.instance, params)
     # a stay handing the load over with a different status is penalized
     stay_mismatches = [
         r
@@ -405,7 +396,7 @@ def test_two_interval_stay_emits_one_early_departure_pair():
         capacity_dims=0,
     )
     params = standard_parameters(slow.costs, 2.0)
-    model = build_ts_svrp(slow, params)
+    model = build_model(slow, params)
     # For each arrival slot at city 1 one interval before the nominal
     # departure there is exactly one early-departure pair.
     per_anchor = {}
@@ -421,7 +412,7 @@ def test_two_interval_stay_emits_one_early_departure_pair():
 def test_mcsvrp_ground_state_keeps_status_constant_across_stays():
     case = mcsvrp_two_city()
     params = standard_parameters(case.instance.costs, case.lam)
-    model = build_ts_mcsvrp(case.instance, params)
+    model = build_model(case.instance, params)
     from tsvrp import exhaustive_solve
     from tsvrp.decoder import evaluate_bits
 
@@ -451,22 +442,10 @@ def test_mcsvrp_zero_variation_travel_keeps_status():
         capacity_dims=1,
     )
     params = standard_parameters(inst.costs, 1.0)
-    model = build_ts_mcsvrp(inst, params)
+    model = build_model(inst, params)
     travels = [r for r in model.records if r.family == "travel_cost"]
     assert travels
     assert all(r.key_a.capacity == r.key_b.capacity for r in travels)
-
-
-def test_builder_uniform_bias_knob():
-    case = three_city_dense()
-    params = standard_parameters(case.instance.costs, case.lam)
-    plain = build_model(case.instance, params)
-    biased = build_model(case.instance, params, xi=0.5)
-    for idx in range(plain.n_vars):
-        assert biased.linear.get(idx, 0.0) == pytest.approx(
-            plain.linear.get(idx, 0.0) - 0.5
-        )
-    assert biased.quadratic == pytest.approx(plain.quadratic)
 
 
 # -- cross-cutting coefficient properties ---------------------------------------
@@ -501,7 +480,7 @@ def test_baseline_condition_boundary():
     inst = plain_instance(3, 3, _case_costs(3, 3, entries))
     params = standard_parameters(inst.costs, lam)
     boundary = 0
-    for record in build_ts_vrp(inst, params).records:
+    for record in build_model(inst, params).records:
         if record.family != "travel_cost":
             continue
         assert record.coefficient >= -lam - 1e-12

@@ -15,7 +15,7 @@ from tsvrp import (
     serialize_instance,
     validate_instance,
 )
-from tsvrp.instance import intervals_for, instance_from_document, instance_to_document
+from tsvrp.instance import instance_from_document, instance_to_document
 
 from strategies import random_instance
 
@@ -83,10 +83,24 @@ def test_parse_rejects_malformed_json():
         parse_instance("{not json")
 
 
+def _intervals(raw, unit, horizon=2):
+    """Interval count of one leg of ``raw`` minutes on a grid of ``horizon`` intervals."""
+    minutes = np.zeros((horizon - 1, 2, 2))
+    minutes[0, 1, 0] = raw
+    return int(discretize_durations(minutes, unit).travel[0, 1, 0])
+
+
 def test_intervals_for_examples():
-    assert intervals_for(25.0, 20.0) == 2
-    assert intervals_for(20.0, 20.0) == 1
-    assert intervals_for(0.0, 20.0) == 1
+    assert _intervals(25.0, 20.0) == 2
+    assert _intervals(20.0, 20.0) == 1
+    assert _intervals(0.0, 20.0) == 1
+
+
+@pytest.mark.parametrize("unit", [0.0, -5.0, float("nan"), float("inf")])
+def test_discretize_rejects_bad_unit(unit):
+    # 0 used to give T + 1 intervals and -5 one interval, silently.
+    with pytest.raises(InstanceError, match="unit_minutes"):
+        discretize_durations(np.full((1, 2, 2), 20.0), unit)
 
 
 def test_discretize_rejects_negative():
@@ -120,11 +134,15 @@ def test_discretize_rejects_non_finite(value):
     unit=st.floats(min_value=0.01, max_value=1e4, allow_nan=False),
 )
 def test_discretize_bracket_property(raw, unit):
-    n = intervals_for(raw, unit)
-    assert n >= 1
+    # A leg clamped at T + 1 intervals only keeps the lower bracket: it
+    # really is longer than the horizon.
+    horizon = 50
+    n = _intervals(raw, unit, horizon)
+    assert 1 <= n <= horizon + 1
     if raw > 0 and n > 1:
         assert (n - 1) * unit < raw * (1 + 1e-9) + 1e-12
-    assert raw <= n * unit * (1 + 1e-9) + 1e-12
+    if n <= horizon:
+        assert raw <= n * unit * (1 + 1e-9) + 1e-12
 
 
 def test_apply_priority_scales_targeted_arrivals():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,7 +11,6 @@ from tsvrp import (
     QuboModel,
     VariableKey,
     WindowSet,
-    apply_windows,
     build_catalogue,
 )
 from tsvrp.qubo import ising_energy, read_model_document, write_model
@@ -127,10 +127,14 @@ def test_catalogue_bijection(seed):
     assert cat.n_total == len(list(cat.all_keys()))
 
 
+def _with_window(inst, triple):
+    return dataclasses.replace(inst, windows=WindowSet(inst.windows.forbidden | {triple}))
+
+
 def test_apply_windows_fixes_all_states_and_capacities():
     case = mcsvrp_two_city()  # M=1 with radix 2, two states
     base = build_catalogue(case.instance)
-    more = apply_windows(base, WindowSet(frozenset({(1, 3, 2)})))
+    more = build_catalogue(_with_window(case.instance, (1, 3, 2)))
     newly_fixed = set(more.fixed) - set(base.fixed)
     assert len(newly_fixed) == 4  # 2 capacities x 2 states
     assert all(more.fixed[k] == 0 for k in newly_fixed)
@@ -155,7 +159,7 @@ def test_apply_windows_three_capacity_two_state_example():
         capacity_dims=1,
     )
     base = build_catalogue(inst)
-    more = apply_windows(base, WindowSet(frozenset({(1, 3, 2)})))
+    more = build_catalogue(_with_window(inst, (1, 3, 2)))
     newly_fixed = set(more.fixed) - set(base.fixed)
     assert len(newly_fixed) == 6  # 3 capacities x 2 states
     assert all(more.fixed[k] == 0 for k in newly_fixed)
@@ -163,9 +167,8 @@ def test_apply_windows_three_capacity_two_state_example():
 
 def test_apply_windows_start_conflict_raises():
     case = two_city_plain()
-    cat = build_catalogue(case.instance)
     with pytest.raises(BuildError, match="start"):
-        apply_windows(cat, WindowSet(frozenset({(1, 1, 1)})))
+        build_catalogue(_with_window(case.instance, (1, 1, 1)))
 
 
 # -- model construction -------------------------------------------------------
@@ -337,13 +340,6 @@ def test_to_ising_preserves_energy_exhaustively(seed):
         assert ising_energy(h, jj, offset, spins) == pytest.approx(
             model.energy(assignment), abs=1e-10
         )
-
-
-def test_uniform_bias():
-    cat = synthetic_catalogue(3)
-    model = QuboModel(cat)
-    model.apply_uniform_bias(0.5)
-    assert all(model.linear[i] == pytest.approx(-0.5) for i in range(3))
 
 
 # -- interchange --------------------------------------------------------------
