@@ -43,9 +43,7 @@ from .qubo import (
     build_catalogue,
 )
 from .samplers import (
-    AnnealSampler,
     AnnealSchedule,
-    ExhaustiveSampler,
     SampleRecord,
     SampleSet,
     SamplerError,

@@ -172,10 +172,9 @@ def cmd_solve(args) -> int:
             restarts=args.restarts,
             seed=seed,
         )
-        backend = samplers.AnnealSampler(schedule)
+        sample_set = samplers.simulated_anneal(model, schedule)
     else:
-        backend = samplers.ExhaustiveSampler()
-    sample_set = backend.solve(model)
+        sample_set = samplers.exhaustive_solve(model)
     sample_set.verify(model)
     result = decoder.stats(sample_set, model.catalogue, inst, mode=args.mode)
     config = _run_config(args, params, seed)

@@ -19,7 +19,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .instance import Instance, _integers, _list, _number, _object, _require
-from .qubo import ARRIVAL, DEPARTURE, PLAIN, STATES_PLAIN, STATES_TWO, VariableCatalogue, VariableKey
+from .qubo import (
+    ARRIVAL,
+    DEPARTURE,
+    FIXED_ZERO,
+    PLAIN,
+    STATES_PLAIN,
+    STATES_TWO,
+    VariableCatalogue,
+    VariableKey,
+)
 from .samplers import SampleSet
 
 MODE_STRICT = "strict"
@@ -201,12 +210,11 @@ def encode_plan(plan: RoutePlan, catalogue: VariableCatalogue) -> np.ndarray:
     for i, evts in plan.events.items():
         for e in evts:
             key = VariableKey(i, e.tau, e.city, e.capacity, e.state)
-            kind, value = catalogue.resolve(key)
-            if kind == "fixed":
-                if value != 1:
-                    raise ValueError(f"plan uses a slot fixed to zero: {key}")
-            else:
-                bits[value] = 1
+            slot = catalogue.slot(key)
+            if slot == FIXED_ZERO:
+                raise ValueError(f"plan uses a slot fixed to zero: {key}")
+            if slot >= 0:
+                bits[slot] = 1
     return bits
 
 
@@ -255,7 +263,7 @@ def _vehicle_checks(events, vehicle, inst: Instance, mode: str) -> list[Violatio
             issues.append(
                 Violation("WINDOW", f"vehicle {i} occupies forbidden slot ({e.tau}, {e.city})", True)
             )
-        if not all(
+        if len(e.capacity) != inst.capacity_dims or not all(
             l <= x <= h for x, l, h in zip(e.capacity, vehicle.capacity_lower, vehicle.capacity_upper)
         ):
             issues.append(

@@ -2,30 +2,28 @@
 
 TS-VRP, TS-MCVRP, TS-SVRP and TS-MCSVRP are one time-table model: the
 kind only decides which states and capacity statuses the catalogue
-enumerates, so one emission engine builds them all.  Travel and stay
-moves carry negatively shifted cost coefficients ``(d - mu) / rho`` so
-that every allowed move is rewarded; every forbidden qubit pair carries
-exactly ``+lam``.  Penalty pairs are deduplicated per family, so a pair that a
-model description would generate twice (for instance once directly and
-once with arrival/departure roles toggled) still receives a single
-``+lam``.
+enumerates, so one builder emits them all.  Each of the 14 term families
+is one broadcast over a vehicle's code grid ``g[tau, city, state,
+capacity]`` (or over a pair of vehicles' grids), masked to the slots the
+family relates, and goes into the model as one block of code arrays.
+Travel and stay moves carry negatively shifted cost coefficients
+``(d - mu) / rho`` so that every allowed move is rewarded; every
+forbidden qubit pair carries exactly ``+lam``.  Penalty pairs are
+deduplicated per family with one ``np.unique``, so a pair that a model
+description would generate twice (for instance once directly and once
+with arrival/departure roles toggled) still receives a single ``+lam``.
+All costs enter the model before any penalty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .instance import CostSeries, Instance
-from .qubo import (
-    ARRIVAL,
-    DEPARTURE,
-    PLAIN,
-    BuildError,
-    QuboModel,
-    VariableCatalogue,
-    VariableKey,
-    build_catalogue,
-)
+import numpy as np
+
+from .instance import CostSeries, Instance, Vehicle
+from .qubo import BuildError, QuboModel, VariableCatalogue, build_catalogue
 
 COST_FAMILIES = ("travel_cost", "stay_cost")
 PENALTY_FAMILIES = (
@@ -67,160 +65,49 @@ class PenaltyParameters:
         if self.delta < 0:
             raise BuildError(f"delta must be non-negative, got {self.delta}")
 
-    def cost_coefficient(self, d: float) -> float:
+    def cost_coefficient(self, d):
+        """Coefficient of a move of cost ``d``, a number or an array of costs."""
         if self.uniform_cost:
             return -self.lam
         return (d - self.mu) / self.rho
 
 
 def standard_parameters(
-    costs: CostSeries | Instance,
-    lam: float,
-    delta: float = 0.0,
-    focus_max: float | None = None,
+    costs: CostSeries | Instance, lam: float, delta: float = 0.0
 ) -> PenaltyParameters:
     """Pick mu and rho so cost coefficients span exactly [-lam - delta, 0].
 
-    ``mu`` is the largest cost (or ``focus_max``, turning pricier legs
-    into penalty-positive territory); ``rho`` stretches the remaining
-    range onto the penalty scale.  A flat cost matrix has no range to
-    stretch, so it falls back to the uniform ``-lam`` pricing.
+    ``mu`` is the largest cost; ``rho`` stretches the cost range onto the
+    penalty scale.  A flat cost matrix has no range to stretch, so it
+    falls back to the uniform ``-lam`` pricing.
     """
     if lam <= 0:
         raise BuildError(f"lam must be positive, got {lam}")
     if delta < 0:
         raise BuildError(f"delta must be non-negative, got {delta}")
     series = costs.costs if isinstance(costs, Instance) else costs
-    lo, hi = series.min_max()
-    mu = hi if focus_max is None else float(focus_max)
-    if mu < lo:
-        raise BuildError(f"focus_max {mu} lies below the smallest cost {lo}")
+    lo, mu = series.min_max()
     span = mu - lo
     if span == 0.0:
         return PenaltyParameters(lam=lam, mu=mu, rho=lam, delta=delta, uniform_cost=True)
     return PenaltyParameters(lam=lam, mu=mu, rho=span / (lam + delta), delta=delta)
 
 
-class _Assembler:
-    """Shared emission machinery for all model kinds."""
-
-    def __init__(
-        self,
-        inst: Instance,
-        params: PenaltyParameters,
-        catalogue: VariableCatalogue | None,
-    ):
-        self.inst = inst
-        self.params = params
-        self.catalogue = catalogue if catalogue is not None else build_catalogue(inst)
-        if self.catalogue.instance is not inst:
-            raise BuildError("catalogue belongs to a different instance")
-        self.model = QuboModel(self.catalogue, params=params)
-        self._pairs: dict[str, set[tuple[VariableKey, VariableKey]]] = {
-            f: set() for f in PENALTY_FAMILIES
-        }
-
-    def cost(self, family: str, key_a: VariableKey, key_b: VariableKey, d: float) -> None:
-        self.model.add_quadratic(key_a, key_b, self.params.cost_coefficient(d), family)
-
-    def pen(self, family: str, key_a: VariableKey, key_b: VariableKey) -> None:
-        if key_a == key_b:
-            raise BuildError(f"penalty pair degenerates to a single key: {key_a}")
-        pair = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
-        self._pairs[family].add(pair)
-
-    def flush_penalties(self) -> None:
-        lam = self.params.lam
-        for family in PENALTY_FAMILIES:
-            for key_a, key_b in sorted(self._pairs[family]):
-                self.model.add_quadratic(key_a, key_b, lam, family)
-
-    # -- shared exclusion block -----------------------------------------
-    def exclusions(self) -> None:
-        """Constraint pairs shared by every model kind.
-
-        Within a vehicle: no two cities in one interval and no second
-        visit to a city.  Across vehicles: a city may host only one
-        vehicle, where simultaneous depot slots are exempt so fleets can
-        share a home base.  Two-state models quantify every family over
-        both states, except that the second-visit family pairs only like
-        states: an arrival/departure pair at one city is the stay
-        transition, and its discipline belongs to the stay block.
-        """
-        inst, cat = self.inst, self.catalogue
-        states = cat.states
-        depots = inst.depot_cities
-        t, n = inst.horizon, inst.n_cities
-        for v in inst.vehicles:
-            caps = cat.capacity_blocks[v.id]
-            for tau in range(1, t + 1):
-                for a in range(1, n + 1):
-                    if len(states) == 2:
-                        for ca in caps:
-                            for cb in caps:
-                                self.pen(
-                                    "state_clash",
-                                    VariableKey(v.id, tau, a, ca, ARRIVAL),
-                                    VariableKey(v.id, tau, a, cb, DEPARTURE),
-                                )
-                    for state in states:
-                        for x in range(len(caps)):
-                            for y in range(x + 1, len(caps)):
-                                self.pen(
-                                    "capacity_clash",
-                                    VariableKey(v.id, tau, a, caps[x], state),
-                                    VariableKey(v.id, tau, a, caps[y], state),
-                                )
-                    for b in range(a + 1, n + 1):
-                        for sa in states:
-                            for sb in states:
-                                for ca in caps:
-                                    for cb in caps:
-                                        self.pen(
-                                            "city_clash",
-                                            VariableKey(v.id, tau, a, ca, sa),
-                                            VariableKey(v.id, tau, b, cb, sb),
-                                        )
-            for a in range(1, n + 1):
-                for tau in range(1, t + 1):
-                    for tau2 in range(tau + 1, t + 1):
-                        for state in states:
-                            for ca in caps:
-                                for cb in caps:
-                                    self.pen(
-                                        "revisit_clash",
-                                        VariableKey(v.id, tau, a, ca, state),
-                                        VariableKey(v.id, tau2, a, cb, state),
-                                    )
-        for x in range(len(inst.vehicles)):
-            for y in range(x + 1, len(inst.vehicles)):
-                vi, vj = inst.vehicles[x], inst.vehicles[y]
-                caps_i, caps_j = cat.capacity_blocks[vi.id], cat.capacity_blocks[vj.id]
-                for a in range(1, n + 1):
-                    for tau in range(1, t + 1):
-                        for tau2 in range(1, t + 1):
-                            if tau == tau2 and a in depots:
-                                continue
-                            family = (
-                                "simultaneous_clash" if tau == tau2 else "cross_vehicle_clash"
-                            )
-                            for sa in states:
-                                for sb in states:
-                                    for ca in caps_i:
-                                        for cb in caps_j:
-                                            self.pen(
-                                                family,
-                                                VariableKey(vi.id, tau, a, ca, sa),
-                                                VariableKey(vj.id, tau2, a, cb, sb),
-                                            )
+def _window(start: np.ndarray, length: np.ndarray, horizon: int) -> np.ndarray:
+    """Per row, the 0-based intervals t with start < t <= start + length."""
+    t = np.arange(horizon)
+    return (t > start[:, None]) & (t <= (start + length)[:, None])
 
 
-def _in_bounds(c: tuple[int, ...], lo, hi) -> bool:
-    return all(l <= x <= h for x, l, h in zip(c, lo, hi))
+def _key_order(grids: list[np.ndarray]) -> np.ndarray:
+    """Rank of every code in VariableKey order, where capacity precedes state.
 
-
-def _shift(c: tuple[int, ...], delta: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + d for x, d in zip(c, delta))
+    Each penalty pair is stored with its lower key first.
+    """
+    return np.concatenate([
+        g.flat[0] + np.arange(g.size).reshape(g.shape[:2] + g.shape[:1:-1]).swapaxes(2, 3).ravel()
+        for g in grids
+    ])
 
 
 def build_model(
@@ -235,119 +122,169 @@ def build_model(
     catalogue instead.  A given ``catalogue`` must have been built from
     this very ``inst`` object.
     """
-    asm = _Assembler(inst, params, catalogue)
+    cat = catalogue if catalogue is not None else build_catalogue(inst)
+    if cat.instance is not inst:
+        raise BuildError("catalogue belongs to a different instance")
+    model = QuboModel(cat, params=params)
+    pairs = {f: [np.empty((2, 0), dtype=np.int64)] for f in PENALTY_FAMILIES}
+
+    def cost(family, key_a, key_b, d, mask) -> None:
+        key_a, key_b, d, mask = np.broadcast_arrays(key_a, key_b, d, mask)
+        model.add_block(family, key_a[mask], key_b[mask], params.cost_coefficient(d[mask]))
+
+    def pen(family, key_a, key_b, mask=True) -> None:
+        key_a, key_b, mask = np.broadcast_arrays(key_a, key_b, mask)
+        pairs[family].append(np.stack([key_a[mask], key_b[mask]]))
+
+    grids = [cat.grid(v.id) for v in inst.vehicles]
+    for v, g in zip(inst.vehicles, grids):
+        caps = np.array(cat.capacity_blocks[v.id], dtype=int).reshape(g.shape[3], -1)
+        _travel_block(inst, v, g, caps, cost, pen)
+        if inst.stateful:
+            _stay_block(inst, g, cost, pen)
+        _exclusions(g, pen)
+    # Across vehicles a city hosts one vehicle; simultaneous depot slots
+    # are exempt so fleets can share a home base.
     t, n = inst.horizon, inst.n_cities
-    stateful = inst.stateful
-    arrival, departure = (ARRIVAL, DEPARTURE) if stateful else (PLAIN, PLAIN)
-    for v in inst.vehicles:
-        caps = asm.catalogue.capacity_blocks[v.id]
-        lo, hi = v.capacity_lower, v.capacity_upper
-        lock = None if stateful else v.end_city
-        for tau in range(1, t):
-            for b in range(1, n + 1):
-                for a in range(1, n + 1):
-                    if a == b:
-                        continue
-                    if b == lock:
-                        # Travel out of the destination is replaced by a
-                        # lock: every later slot at any other city clashes
-                        # with sitting at the destination now.
-                        for dt in range(1, t - tau + 1):
-                            for c in caps:
-                                for c2 in caps:
-                                    asm.pen(
-                                        "end_lock",
-                                        VariableKey(v.id, tau + dt, a, c2, PLAIN),
-                                        VariableKey(v.id, tau, lock, c, PLAIN),
-                                    )
-                        continue
-                    dur = inst.duration(tau, a, b)
-                    d = inst.cost(tau, a, b)
-                    delta = inst.variation(tau, a, b)
-                    arrive = tau + dur
-                    for c in caps:
-                        target = _shift(c, delta)
-                        ok = _in_bounds(target, lo, hi)
-                        dep = VariableKey(v.id, tau, b, c, departure)
-                        if arrive <= t:
-                            if ok:
-                                asm.cost(
-                                    "travel_cost",
-                                    VariableKey(v.id, arrive, a, target, arrival),
-                                    dep,
-                                    d,
-                                )
-                            for c2 in caps:
-                                if ok and c2 == target:
-                                    continue
-                                asm.pen(
-                                    "wrong_capacity",
-                                    VariableKey(v.id, arrive, a, c2, arrival),
-                                    dep,
-                                )
-                        for dt in range(1, min(dur - 1, t - tau) + 1):
-                            for c2 in caps:
-                                asm.pen(
-                                    "early_arrival",
-                                    VariableKey(v.id, tau + dt, a, c2, arrival),
-                                    dep,
-                                )
-                        if not stateful:
-                            continue
-                        # No departure anywhere else while in transit.
-                        for dt in range(1, min(dur, t - tau) + 1):
-                            for c2 in caps:
-                                asm.pen(
-                                    "transit_block",
-                                    VariableKey(v.id, tau + dt, a, c2, DEPARTURE),
-                                    dep,
-                                )
-            if not stateful:
-                continue
-            for a in range(1, n + 1):
-                hold = inst.stay(tau, a)
-                for c in caps:
-                    arr = VariableKey(v.id, tau, a, c, ARRIVAL)
-                    if tau + hold <= t:
-                        asm.cost(
-                            "stay_cost",
-                            VariableKey(v.id, tau + hold, a, c, DEPARTURE),
-                            arr,
-                            0.0,
-                        )
-                        # The stay hands the capacity status over unchanged.
-                        for c2 in caps:
-                            if c2 == c:
-                                continue
-                            asm.pen(
-                                "wrong_capacity",
-                                VariableKey(v.id, tau + hold, a, c2, DEPARTURE),
-                                arr,
-                            )
-                    for dt in range(1, min(hold - 1, t - tau) + 1):
-                        for c2 in caps:
-                            asm.pen(
-                                "early_departure",
-                                VariableKey(v.id, tau + dt, a, c2, DEPARTURE),
-                                arr,
-                            )
-            # No second arrival while a fresh arrival is still being served.
-            for b in range(1, n + 1):
-                hold = inst.stay(tau, b)
-                for a in range(1, n + 1):
-                    if a == b:
-                        continue
-                    for dt in range(1, min(hold, t - tau) + 1):
-                        for c in caps:
-                            for c2 in caps:
-                                asm.pen(
-                                    "stay_block",
-                                    VariableKey(v.id, tau + dt, a, c2, ARRIVAL),
-                                    VariableKey(v.id, tau, b, c, ARRIVAL),
-                                )
-    asm.exclusions()
-    asm.flush_penalties()
-    return asm.model.finalize()
+    shared = np.isin(np.arange(1, n + 1), list(inst.depot_cities))
+    for gi, gj in combinations(grids, 2):
+        fi, fj = gi.reshape(t, n, -1), gj.reshape(t, n, -1)
+        pen("simultaneous_clash", fi[:, :, :, None], fj[:, :, None, :], ~shared[:, None, None])
+        pen(
+            "cross_vehicle_clash",
+            fi[:, None, :, :, None],
+            fj[None, :, :, None, :],
+            ~np.eye(t, dtype=bool)[:, :, None, None, None],
+        )
+
+    order, total = _key_order(grids), cat.n_total
+    for family in PENALTY_FAMILIES:
+        a, b = np.concatenate(pairs[family], axis=1)
+        first = order[a] <= order[b]
+        codes = np.unique(np.where(first, a, b) * total + np.where(first, b, a))
+        model.add_block(family, codes // total, codes % total, params.lam)
+    return model.finalize()
+
+
+def _travel_block(inst: Instance, v: Vehicle, g: np.ndarray, caps: np.ndarray, cost, pen) -> None:
+    """Legs from city b at interval tau to city a, arriving at tau + duration.
+
+    A leg rewards the arrival that carries the varied capacity status and
+    penalizes every other arrival status, any arrival before the leg's
+    duration has passed, and (two-state) any departure while in transit.
+    A single-state vehicle with an end city does not leave it: every
+    later slot at any other city clashes with sitting there now.
+    """
+    t, n, s, _ = g.shape
+    arr, dep = g[:, :, 0], g[:, :, s - 1]  # the one plain grid twice in single-state kinds
+    lock = None if inst.stateful else v.end_city
+    legs = np.ones((t - 1, n, n), dtype=bool) & ~np.eye(n, dtype=bool)
+    if lock is not None:
+        legs[:, :, lock - 1] = False
+    tau, a, b = np.nonzero(legs)  # 0-based departure interval, to, from
+    dur = inst.durations.travel[tau, a, b]
+    lands = tau + dur <= t - 1
+    lo, hi = np.array(v.capacity_lower, dtype=int), np.array(v.capacity_upper, dtype=int)
+    if inst.variations is None:
+        delta = np.zeros((len(tau), caps.shape[1]), dtype=int)
+    else:
+        delta = inst.variations.values[tau, a, b]
+    target = caps[None] + delta[:, None, :]
+    ok = np.all((target >= lo) & (target <= hi), axis=2)
+    stride = np.array([np.prod(hi[m + 1:] - lo[m + 1:] + 1) for m in range(len(lo))], dtype=int)
+    target_index = np.where(ok, ((target - lo) * stride).sum(axis=2), 0)
+
+    departs = dep[tau, b]  # [leg, capacity]
+    arrives = arr[np.where(lands, tau + dur, 0), a]  # [leg, capacity], on landing
+    cost(
+        "travel_cost",
+        np.take_along_axis(arrives, target_index, axis=1),
+        departs,
+        inst.costs.values[tau, a, b][:, None],
+        lands[:, None] & ok,
+    )
+    right = ok[:, :, None] & (target_index[:, :, None] == np.arange(len(caps)))
+    pen("wrong_capacity", arrives[:, None, :], departs[:, :, None], lands[:, None, None] & ~right)
+    pen(
+        "early_arrival",
+        arr[:, a].swapaxes(0, 1)[:, :, None, :],
+        departs[:, None, :, None],
+        _window(tau, dur - 1, t)[:, :, None, None],
+    )
+    if inst.stateful:
+        pen(
+            "transit_block",
+            dep[:, a].swapaxes(0, 1)[:, :, None, :],
+            departs[:, None, :, None],
+            _window(tau, dur, t)[:, :, None, None],
+        )
+    if lock is not None:
+        later = np.triu(np.ones((t, t), dtype=bool), 1)  # [tau, later tau]
+        away = np.arange(n) != lock - 1
+        pen(
+            "end_lock",
+            arr[None, :, :, None, :],
+            arr[:, lock - 1][:, None, None, :, None],
+            later[:, :, None, None, None] & away[:, None, None],
+        )
+
+
+def _stay_block(inst: Instance, g: np.ndarray, cost, pen) -> None:
+    """Stays: an arrival at tau is followed by the departure at tau + stay.
+
+    The stay hands the capacity status over unchanged, no departure comes
+    earlier, and no second arrival comes while a fresh one is served.
+    """
+    t, n, _, c = g.shape
+    arr, dep = g[:, :, 0], g[:, :, 1]
+    tau, a = np.nonzero(np.ones((t - 1, n), dtype=bool))
+    hold = inst.durations.stay[tau, a]
+    here = arr[tau, a]  # [stay, capacity]
+    done = tau + hold <= t - 1
+    leaves = dep[np.where(done, tau + hold, 0), a]
+    cost("stay_cost", leaves, here, 0.0, done[:, None])
+    pen("wrong_capacity", leaves[:, None, :], here[:, :, None], done[:, None, None] & ~np.eye(c, dtype=bool))
+    pen(
+        "early_departure",
+        dep[:, a].swapaxes(0, 1)[:, :, None, :],
+        here[:, None, :, None],
+        _window(tau, hold - 1, t)[:, :, None, None],
+    )
+    elsewhere = np.arange(n) != a[:, None]
+    pen(
+        "stay_block",
+        arr[None, :, :, None, :],
+        here[:, None, None, :, None],
+        _window(tau, hold, t)[:, :, None, None, None] & elsewhere[:, None, :, None, None],
+    )
+
+
+def _exclusions(g: np.ndarray, pen) -> None:
+    """Constraint pairs within one vehicle, shared by every model kind.
+
+    No two cities in one interval and no second visit to a city.  Two-state
+    models quantify every family over both states, except that the
+    second-visit family pairs only like states: an arrival/departure pair
+    at one city is the stay transition, and its discipline belongs to the
+    stay block.
+    """
+    t, n, s, c = g.shape
+    if s == 2:
+        pen("state_clash", g[:, :, 0, :, None], g[:, :, 1, None, :])
+    pen("capacity_clash", g[..., :, None], g[..., None, :], np.triu(np.ones((c, c), dtype=bool), 1))
+    flat = g.reshape(t, n, s * c)
+    pen(
+        "city_clash",
+        flat[:, :, None, :, None],
+        flat[:, None, :, None, :],
+        np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None, None],
+    )
+    pen(
+        "revisit_clash",
+        g[:, None, :, :, :, None],
+        g[None, :, :, :, None, :],
+        np.triu(np.ones((t, t), dtype=bool), 1)[:, :, None, None, None, None],
+    )
 
 
 def term_summary(model: QuboModel) -> dict[str, int]:

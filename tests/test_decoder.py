@@ -39,7 +39,7 @@ from tsvrp.demo import delivery_demo_instance
 from tsvrp.hamiltonians import COST_FAMILIES
 from tsvrp.instance import capacity_box
 from tsvrp.oracle import SearchCapExceeded
-from tsvrp.qubo import ARRIVAL, DEPARTURE, PLAIN, VariableKey
+from tsvrp.qubo import ARRIVAL, DEPARTURE, FIXED_ZERO, PLAIN, VariableKey
 
 from cases import (
     load_cases,
@@ -209,6 +209,16 @@ def test_capacity_transition_and_bounds_checks():
     )
     report = check_feasibility(out_of_bounds, inst)
     assert any(v.kind == "CAPACITY_BOUNDS" for v in report.violations)
+
+
+def test_capacity_vector_of_wrong_length_is_a_bounds_violation():
+    inst = mc_pickup_chain().instance
+    _, plans = enumerate_optimal_routes(inst)
+    events = plans[0].events[1]
+    assert events[-1].capacity == (0,) and check_feasibility(plans[0], inst).feasible
+    longer = RoutePlan(events={1: events[:-1] + (events[-1]._replace(capacity=(0, 99)),)})
+    report = check_feasibility(longer, inst)
+    assert any(v.kind == "CAPACITY_BOUNDS" and v.hard for v in report.violations)
 
 
 def test_stateful_alternation_and_stay_checks():
@@ -502,9 +512,7 @@ def test_hard_violations_match_penalty_contributions(factory):
     reward = {}
     for r in model.records:
         if r.family in COST_FAMILIES:
-            kind_a, val_a = model.catalogue.resolve(r.key_a)
-            kind_b, val_b = model.catalogue.resolve(r.key_b)
-            if (kind_a, val_a) == ("fixed", 0) or (kind_b, val_b) == ("fixed", 0):
+            if FIXED_ZERO in (model.catalogue.slot(r.key_a), model.catalogue.slot(r.key_b)):
                 continue
             reward[(r.key_a, r.key_b)] = r.coefficient
     n = model.n_vars

@@ -83,13 +83,6 @@ def test_delta_widens_the_band():
     assert params.cost_coefficient(10.0) == pytest.approx(0.0)
 
 
-def test_focus_max_makes_pricier_legs_positive():
-    costs = CostSeries(np.array([[[0.0, 4.0], [10.0, 0.0]]]))
-    params = standard_parameters(costs, 2.0, focus_max=8.0)
-    assert params.cost_coefficient(10.0) > 0.0
-    assert params.cost_coefficient(8.0) == pytest.approx(0.0)
-
-
 # -- single-state builder -------------------------------------------------------
 
 

@@ -20,24 +20,37 @@ from strategies import random_instance
 
 
 def synthetic_catalogue(n_free: int, fixed: dict[int, int] | None = None):
-    """A catalogue over artificial plain keys, bypassing instance logic."""
-    from tsvrp.qubo import VariableCatalogue
-    from tsvrp import Instance
+    """A catalogue over artificial plain keys, bypassing instance logic.
 
-    keys = [VariableKey(1, 1, c, (), PLAIN) for c in range(1, n_free + (len(fixed or {})) + 1)]
-    fixed_keys = {}
-    free = []
-    for idx, key in enumerate(keys):
-        if fixed and idx in fixed:
-            fixed_keys[key] = fixed[idx]
-        else:
-            free.append(key)
+    The keys are ``VariableKey(1, 1, c)`` for the first ``n_free +
+    len(fixed)`` cities of a one-vehicle, two-interval instance: key
+    ``c - 1`` is fixed to ``fixed[c - 1]`` when listed and free otherwise.
+    Every other key of the grid is fixed to zero.
+    """
+    from tsvrp import CostSeries, DurationSeries, Instance, TimeGrid, Vehicle
+    from tsvrp.qubo import FIXED_ONE, FIXED_ZERO, VariableCatalogue
+
+    fixed = fixed or {}
+    total = n_free + len(fixed)
+    n = max(total, 2)
+    inst = Instance(
+        grid=TimeGrid(2, 10.0),
+        city_labels=tuple(f"c{a}" for a in range(1, n + 1)),
+        vehicles=(Vehicle(id=1, start_city=1),),
+        costs=CostSeries(np.zeros((1, n, n))),
+        durations=DurationSeries(np.ones((1, n, n), dtype=int)),
+        variations=None,
+        windows=WindowSet(),
+        model_kind="TS_VRP",
+        capacity_dims=0,
+    )
+    slots = np.full(2 * n, FIXED_ZERO)  # codes 0..n-1 are the interval-1 keys
+    free = [idx for idx in range(total) if idx not in fixed]
+    slots[free] = np.arange(len(free))
+    for idx, value in fixed.items():
+        slots[idx] = FIXED_ONE if value else FIXED_ZERO
     return VariableCatalogue(
-        instance=two_city_plain().instance,
-        free_keys=tuple(free),
-        fixed=fixed_keys,
-        states=(PLAIN,),
-        capacity_blocks={1: ((),)},
+        instance=inst, states=(PLAIN,), capacity_blocks={1: ((),)}, slots=slots
     )
 
 
@@ -180,6 +193,7 @@ def test_add_quadratic_accumulates():
     k0, k1 = cat.free_keys
     model.add_quadratic(k0, k1, 0.5)
     model.add_quadratic(k0, k1, 0.5)
+    model.finalize()
     assert model.quadratic[(0, 1)] == pytest.approx(1.0)
 
 
@@ -189,6 +203,7 @@ def test_add_quadratic_folds_through_fixed_one():
     fixed_key = next(iter(cat.fixed))
     free_key = cat.free_keys[0]
     model.add_quadratic(fixed_key, free_key, 3.0)
+    model.finalize()
     assert model.linear[0] == pytest.approx(3.0)
     assert not model.quadratic
 
@@ -199,6 +214,7 @@ def test_add_quadratic_drops_through_fixed_zero():
     fixed_key = next(iter(cat.fixed))
     free_key = cat.free_keys[0]
     model.add_quadratic(fixed_key, free_key, 3.0)
+    model.finalize()
     assert not model.linear and not model.quadratic and model.constant == 0.0
 
 
@@ -207,6 +223,7 @@ def test_add_quadratic_same_key_folds_to_linear():
     model = QuboModel(cat)
     key = cat.free_keys[0]
     model.add_quadratic(key, key, 2.0)
+    model.finalize()
     assert model.linear[0] == pytest.approx(2.0)
     assert not model.quadratic
 
@@ -222,9 +239,11 @@ def test_energy_examples():
     cat = synthetic_catalogue(2)
     model = QuboModel(cat)
     model.add_constant(1.5)
-    assert model.energy([0, 0]) == pytest.approx(1.5)
+    assert model.finalize().energy([0, 0]) == pytest.approx(1.5)
+    model = QuboModel(cat)
+    model.add_constant(1.5)
     model.add_linear(cat.free_keys[0], -1.0)
-    assert model.energy([1, 0]) == pytest.approx(0.5)
+    assert model.finalize().energy([1, 0]) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         model.energy([1])
 

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from tsvrp import (
-    AnnealSampler,
     AnnealSchedule,
-    ExhaustiveSampler,
     QuboModel,
     SamplerError,
     build_model,
@@ -15,7 +13,7 @@ from tsvrp import (
 from tsvrp.samplers import read_sample_set, write_sample_set
 import tsvrp.samplers as samplers_module
 
-from cases import mc_delivery_run, three_city_dense
+from cases import load_cases, mc_delivery_run, three_city_dense
 from test_qubo import synthetic_catalogue
 
 
@@ -172,13 +170,84 @@ def test_sampler_contract_exhaustive_and_sa():
     case = three_city_dense()
     params = standard_parameters(case.instance.costs, case.lam)
     model = build_model(case.instance, params)
-    full = ExhaustiveSampler().solve(model)
-    annealed = AnnealSampler(AnnealSchedule(sweeps=200, restarts=4, seed=0)).solve(model)
+    full = exhaustive_solve(model)
+    annealed = simulated_anneal(model, AnnealSchedule(sweeps=200, restarts=4, seed=0))
     full.verify(model)
     annealed.verify(model)
     assert annealed.best.energy >= full.best.energy - 1e-9
-    budgeted = AnnealSampler(AnnealSchedule(sweeps=200, restarts=64, seed=0)).solve(model, budget=2)
-    assert budgeted.total_samples == 2
+
+
+# -- one enumeration pass against the two-pass version it replaced -----------------
+
+
+def _two_pass_exhaustive(model: QuboModel, cap: int = 25):
+    """The earlier ``exhaustive_solve``: find the best, then enumerate again for its rows."""
+    from tsvrp.samplers import ENERGY_TOL, SampleSet, _merge_records
+
+    n = model.n_vars
+    total = 1 << n
+    chunk = min(total, 1 << 16)
+    shifts = np.arange(n, dtype=np.uint64)
+    best = np.inf
+    histogram = {}
+    for base in range(0, total, chunk):
+        vals = np.arange(base, min(base + chunk, total), dtype=np.uint64)
+        energies = model.energies(((vals[:, None] >> shifts) & 1).astype(float))
+        best = min(best, float(energies.min()))
+        for e, count in zip(*np.unique(np.round(energies, 9), return_counts=True)):
+            histogram[float(e)] = histogram.get(float(e), 0) + int(count)
+    minima_bits, minima_energy = [], []
+    for base in range(0, total, chunk):
+        vals = np.arange(base, min(base + chunk, total), dtype=np.uint64)
+        bits = ((vals[:, None] >> shifts) & 1).astype(float)
+        energies = model.energies(bits)
+        for row in np.nonzero(energies <= best + ENERGY_TOL)[0]:
+            minima_bits.append(tuple(int(x) for x in bits[row]))
+            minima_energy.append(float(energies[row]))
+    return SampleSet(
+        records=_merge_records(minima_bits, minima_energy),
+        metadata={
+            "sampler": "exhaustive",
+            "model_ref": model.fingerprint(),
+            "n_enumerated": total,
+            "min_energy": best,
+            "energy_histogram": [[e, c] for e, c in sorted(histogram.items())[:64]],
+        },
+    )
+
+
+def _assert_same_sample_set(model):
+    one, two = exhaustive_solve(model), _two_pass_exhaustive(model)
+    assert one.records == two.records
+    assert one.metadata == two.metadata
+
+
+def test_single_pass_exhaustive_matches_two_pass_on_cases():
+    for case in load_cases():
+        params = standard_parameters(case.instance.costs, case.lam)
+        _assert_same_sample_set(build_model(case.instance, params))
+
+
+def test_single_pass_exhaustive_drops_an_early_near_minimum():
+    # 17 variables make two 65,536-row chunks.  The first chunk's best row
+    # (x0 alone, -1) is within tolerance of its running best, but the
+    # minimum (x0 and x16, -2 - 1e-6, tied with x1 and x16) lies in the
+    # second chunk, so the early row must not survive.
+    cat = synthetic_catalogue(17)
+    model = QuboModel(cat)
+    keys = cat.free_keys
+    for k in keys:
+        model.add_linear(k, 1.0)
+    model.add_linear(keys[0], -2.0)
+    model.add_linear(keys[1], -2.0)
+    model.add_quadratic(keys[0], keys[1], 5.0)
+    model.add_linear(keys[16], -2.0 - 1e-6)
+    model.finalize()
+    result = exhaustive_solve(model)
+    assert sorted(r.bits.index(1) for r in result.records) == [0, 1]
+    assert all(sum(r.bits) == 2 and r.bits[16] for r in result.records)
+    assert result.best.energy == pytest.approx(-2.0 - 1e-6, abs=1e-12)
+    _assert_same_sample_set(model)
 
 
 def test_sample_set_verify_rejects_wrong_energy():
