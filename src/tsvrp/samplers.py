@@ -7,7 +7,11 @@ the model itself cannot go unnoticed.
 
 from __future__ import annotations
 
+import functools
 import json
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -19,9 +23,19 @@ from .qubo import QuboModel
 ENERGY_TOL = 1e-9
 IMPORT_TOL = 1e-6
 
-# Per-chain random tapes are materialized in chunks; this bounds the
-# memory of one chunk (bytes).
-_TAPE_BUDGET = 200_000_000
+# Per-chain random tapes are drawn in blocks of sweeps; one group of
+# chains keeps its state and one tape block within this many bytes.
+_TAPE_BUDGET = 16_000_000
+
+# A chain's starting field and energy come from BLAS products over a
+# batch of ``_START_BATCH_BUDGET // (8 * sweeps * n)`` chains, the chunk
+# for which the kernel used to draw whole tapes.  BLAS rounding depends
+# on a batch's shape, so keeping the batch keeps every chain's starting
+# energy, and with it the sample stream, to the last bit.
+_START_BATCH_BUDGET = 200_000_000
+
+# Chains go to a process pool only when every shard gets this many.
+_MIN_SHARD_CHAINS = 512
 
 
 class SamplerError(RuntimeError):
@@ -178,73 +192,230 @@ def simulated_anneal(
     """Independent single-flip Metropolis chains under a geometric ramp.
 
     Chain ``r`` derives all of its randomness from ``seed + r``: first its
-    starting bits, then one uniform per (sweep, variable) step, consumed
-    in that order.  Chains are executed in vectorized lockstep, which
-    changes nothing observable because they never interact.  Each chain
-    reports its best-ever state; identical states merge into one record
-    with a multiplicity.
+    starting bits, then one uniform ``u`` per (sweep, variable) step,
+    consumed in that order; a step flips its variable when
+    ``u < exp(-beta * dE)``, so every downhill step flips.  Chains run in
+    vectorized lockstep, in groups and across processes, which changes
+    nothing observable because they never interact.  Each chain reports
+    its best-ever state; identical states merge into one record with a
+    multiplicity.
     """
     n = model.n_vars
-    lin, coupling = model.dense_arrays()
-    betas = schedule.betas(model)
-    sweeps, restarts = schedule.sweeps, schedule.restarts
-
-    best_bits_all: list[np.ndarray] = []
-    trajectory: list[np.ndarray] = []
-
-    if n == 0:
-        records = (SampleRecord((), model.constant, restarts),)
-        b0, b1 = schedule.resolved_betas(model)
-        return SampleSet(records=records, metadata=_sa_metadata(model, schedule, b0, b1))
-
-    chunk = max(1, min(restarts, _TAPE_BUDGET // (sweeps * n * 8)))
-    for base in range(0, restarts, chunk):
-        size = min(chunk, restarts - base)
-        bits = np.empty((size, n))
-        tape = np.empty((sweeps, n, size))
-        for r in range(size):
-            rng = np.random.Generator(np.random.PCG64(schedule.seed + base + r))
-            bits[r] = rng.integers(0, 2, n)
-            tape[:, :, r] = rng.random((sweeps, n))
-
-        field_now = bits @ coupling + lin
-        cur = model.energies(bits)
-        best = cur.copy()
-        best_bits = bits.copy()
-        chunk_traj = [best.copy()]
-
-        for t in range(sweeps):
-            beta = betas[t]
-            for j in range(n):
-                de = field_now[:, j] * (1.0 - 2.0 * bits[:, j])
-                accept = de <= 0.0
-                uphill = ~accept
-                if uphill.any():
-                    accept[uphill] = tape[t, j, uphill] < np.exp(-beta * de[uphill])
-                rows = np.nonzero(accept)[0]
-                if rows.size:
-                    sign = 1.0 - 2.0 * bits[rows, j]
-                    bits[rows, j] += sign
-                    field_now[rows] += sign[:, None] * coupling[j]
-                    cur[rows] += de[rows]
-                    improved = rows[cur[rows] < best[rows]]
-                    if improved.size:
-                        best[improved] = cur[improved]
-                        best_bits[improved] = bits[improved]
-            chunk_traj.append(best.copy())
-        best_bits_all.append(best_bits)
-        trajectory.append(np.stack(chunk_traj, axis=0))
-
-    stacked = np.vstack(best_bits_all).astype(int)
-    energies = model.energies(stacked.astype(float))
-    records = _merge_records([tuple(map(int, row)) for row in stacked], energies.tolist())
     b0, b1 = schedule.resolved_betas(model)
     metadata = _sa_metadata(model, schedule, b0, b1)
-    full_trajectory = np.concatenate(trajectory, axis=1)
-    metadata["best_energy_per_sweep"] = full_trajectory.min(axis=1).tolist()
+    if n == 0:
+        records = (SampleRecord((), model.constant, schedule.restarts),)
+        return SampleSet(records=records, metadata=metadata)
+
+    _, coupling = model.dense_arrays()
+    neighbours = tuple((nb, row[nb]) for row in coupling for nb in [np.flatnonzero(row)])
+    job = _AnnealJob(
+        model, schedule.seed, schedule.restarts, schedule.betas(model), neighbours, track_chains
+    )
+    ranges = _shard_ranges(schedule.restarts)
+    parts = _run_sharded(job, ranges) if len(ranges) > 1 else [_anneal_range(job, *ranges[0])]
+
+    stacked = np.concatenate([bits for bits, _ in parts])
+    energies = model.energies(stacked.astype(float))
+    records = _merge_records(list(map(tuple, stacked.tolist())), energies.tolist())
     if track_chains:
-        metadata["chain_best_per_sweep"] = full_trajectory.T.tolist()
+        trajectory = np.concatenate([traj for _, traj in parts], axis=1)
+        metadata["best_energy_per_sweep"] = trajectory.min(axis=1).tolist()
+        metadata["chain_best_per_sweep"] = trajectory.T.tolist()
+    else:
+        metadata["best_energy_per_sweep"] = np.min([traj for _, traj in parts], axis=0).tolist()
     return SampleSet(records=records, metadata=metadata)
+
+
+class _AnnealJob(NamedTuple):
+    """What every chain of one annealing call shares."""
+
+    model: QuboModel
+    seed: int
+    restarts: int
+    betas: np.ndarray
+    # Per variable: its neighbours' indices and couplings.
+    neighbours: tuple[tuple[np.ndarray, np.ndarray], ...]
+    track: bool
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _shard_ranges(restarts: int) -> list[tuple[int, int]]:
+    """Contiguous chain ranges, one per shard, as even as they come.
+
+    Without ``fork``, or in a process with other threads, all chains
+    stay here: ``fork`` copies only the calling thread, and a lock
+    another thread holds stays held in the child.
+    """
+    shards = max(1, min(_available_cpus(), restarts // _MIN_SHARD_CHAINS))
+    if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
+        shards = 1
+    edges = [restarts * k // shards for k in range(shards + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _run_sharded(job: _AnnealJob, ranges: list[tuple[int, int]]) -> list:
+    """Run the first range here and each other one in a forked child.
+
+    Every child is joined before this returns or raises.  A child runs
+    one range and sends it back; if the caller is gone by then, the send
+    fails on the closed pipe and the child exits, so no child outlives
+    its range even when the caller is killed.
+    """
+    context = multiprocessing.get_context("fork")
+    shards = []
+    try:
+        for lo, hi in ranges[1:]:
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(target=_shard_child, args=(job, lo, hi, reader, writer))
+            child.start()
+            writer.close()
+            shards.append((child, reader))
+        parts = [_anneal_range(job, *ranges[0])]
+        for child, reader in shards:
+            try:
+                failed, part = reader.recv()
+            except EOFError:
+                child.join()
+                raise SamplerError(f"annealing shard exited with code {child.exitcode}") from None
+            if failed:
+                raise part
+            parts.append(part)
+        return parts
+    except BaseException:
+        for child, _ in shards:
+            child.terminate()
+        raise
+    finally:
+        for child, reader in shards:
+            reader.close()
+            child.join()
+
+
+def _shard_child(job: _AnnealJob, lo: int, hi: int, reader, writer) -> None:
+    reader.close()
+    try:
+        outcome = (False, _anneal_range(job, lo, hi))
+    except Exception as exc:  # handed to the caller, which raises it
+        outcome = (True, exc)
+    writer.send(outcome)
+
+
+def _group_plan(n: int, sweeps: int, chains: int) -> tuple[int, int]:
+    """Chains per group, as even as they come, and sweeps per tape block.
+
+    A group's state (at most eight ``(n, group)`` arrays at once and the
+    best energy per sweep) takes at most half of ``_TAPE_BUDGET``, its
+    tape block the rest.
+    """
+    state = 8 * (8 * n + sweeps + 9)
+    groups = -(-chains // max(1, _TAPE_BUDGET // (2 * state)))
+    group = -(-chains // groups)
+    block = max(1, min(sweeps, (_TAPE_BUDGET - group * state) // (8 * n * group)))
+    return group, block
+
+
+def _anneal_range(job: _AnnealJob, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chains ``lo .. hi - 1``: best bits as ``uint8`` rows, and the best
+    energy after each sweep, per chain if the job tracks chains, else
+    the minimum over these chains."""
+    n, sweeps = job.model.n_vars, len(job.betas)
+    group, block = _group_plan(n, sweeps, hi - lo)
+    batch = max(1, min(job.restarts, _START_BATCH_BUDGET // (8 * sweeps * n)))
+
+    @functools.lru_cache(maxsize=1)
+    def start_batch(b0: int):
+        return _start_batch(job, b0, min(b0 + batch, job.restarts))
+
+    bits, trajectories = [], []
+    for g0 in range(lo, hi, group):
+        g1 = min(g0 + group, hi)
+        pieces = [
+            [part[max(g0, b0) - b0 : min(g1, b0 + batch) - b0] for part in start_batch(b0)]
+            for b0 in range(g0 - g0 % batch, g1, batch)
+        ]
+        rngs = [rng for piece in pieces for rng in piece[0]]
+        start, field, energy = (np.concatenate(column) for column in zip(*(p[1:] for p in pieces)))
+        best_bits, trajectory = _anneal_group(job, rngs, start, field, energy, block)
+        bits.append(best_bits)
+        trajectories.append(trajectory if job.track else trajectory.min(axis=1))
+    if job.track:
+        return np.concatenate(bits), np.concatenate(trajectories, axis=1)
+    return np.concatenate(bits), np.min(trajectories, axis=0)
+
+
+def _start_batch(job: _AnnealJob, b0: int, b1: int):
+    """Generators, starting bits, fields and energies of chains ``b0 .. b1 - 1``."""
+    n = job.model.n_vars
+    bits = np.empty((b1 - b0, n))
+    rngs = []
+    for r in range(b0, b1):
+        rngs.append(np.random.Generator(np.random.PCG64(job.seed + r)))
+        bits[r - b0] = rngs[-1].integers(0, 2, n)
+    lin, coupling = job.model.dense_arrays()
+    return rngs, bits, bits @ coupling + lin, job.model.energies(bits)
+
+
+def _anneal_group(job: _AnnealJob, rngs, bits, field, energy, block: int):
+    """Anneal one group of chains, held chains-last: row ``j`` of ``spin``
+    (``1 - 2 * bits``) and of ``field`` is variable ``j`` of every chain.
+
+    A flip of ``j`` moves only the fields of ``j``'s neighbours; rejected
+    chains add ``w * 0``, which changes no field.  The best state is
+    settled once per sweep: the first step that reached the sweep's
+    lowest energy, if that beats the best so far, holds the variables up
+    to its own from the sweep's end and the rest from the sweep's start,
+    because a sweep visits each variable once, in order.
+    """
+    spin = np.ascontiguousarray((1.0 - 2.0 * bits).T)
+    field = np.ascontiguousarray(field.T)
+    n, g = spin.shape
+    sweeps = len(job.betas)
+    cur = energy.copy()
+    best, best_spin = cur.copy(), spin.copy()
+    sweep_start = np.empty_like(spin)
+    energy_log = np.empty((n, g))
+    trajectory = np.empty((sweeps + 1, g))
+    trajectory[0] = cur
+    tape = np.empty((block, n, g))
+    de, x, delta = np.empty(g), np.empty(g), np.empty(g)
+    push = np.empty((max(len(nb) for nb, _ in job.neighbours), g))
+    accept = np.empty(g, dtype=bool)
+    order, chains = np.arange(n)[:, None], np.arange(g)
+    steps = list(zip(spin, field, energy_log, job.neighbours))
+    with np.errstate(over="ignore"):
+        for t0 in range(0, sweeps, block):
+            width = min(block, sweeps - t0)
+            for c, rng in enumerate(rngs):
+                tape[:width, :, c] = rng.random((width, n))
+            for t in range(t0, t0 + width):
+                neg_beta = -job.betas[t]
+                np.copyto(sweep_start, spin)
+                for (s, f, logged, (nb, w)), u in zip(steps, tape[t - t0]):
+                    np.multiply(f, s, out=de)
+                    np.multiply(de, neg_beta, out=x)
+                    np.exp(x, out=x)
+                    np.less(u, x, out=accept)
+                    np.multiply(s, accept, out=delta)
+                    moved = field[nb]
+                    moved += np.einsum("i,j->ij", w, delta, out=push[: len(nb)])
+                    field[nb] = moved
+                    np.negative(s, out=s, where=accept)
+                    np.add(cur, de, out=cur, where=accept)
+                    logged[...] = cur
+                first = energy_log.argmin(axis=0)
+                low = energy_log[first, chains]
+                improved = low < best
+                np.copyto(best, low, where=improved)
+                np.copyto(best_spin, np.where(order <= first, spin, sweep_start), where=improved)
+                trajectory[t + 1] = best
+    return np.ascontiguousarray((best_spin < 0).T, dtype=np.uint8), trajectory
 
 
 def _sa_metadata(model: QuboModel, schedule: AnnealSchedule, b0: float, b1: float) -> dict:
@@ -270,6 +441,8 @@ def read_sample_set(path, model: QuboModel | None = None, tol: float = IMPORT_TO
     positive integer multiplicity, or whose stored energy disagrees with
     the model by more than ``tol``, are rejected (dropped); the number of
     rejections lands in the metadata so silent corruption stays visible.
+    A record that agrees keeps its stored energy, so a sampler's own
+    output reads back unchanged to the last digit.
     A malformed document raises ``ValueError`` or ``TypeError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -290,12 +463,9 @@ def read_sample_set(path, model: QuboModel | None = None, tol: float = IMPORT_TO
             rejected += 1
             continue
         bits = tuple(int(ch) for ch in bitstring)
-        if model is not None:
-            actual = model.energy(bits)
-            if abs(actual - energy) > tol:
-                rejected += 1
-                continue
-            energy = actual
+        if model is not None and not abs(model.energy(bits) - energy) <= tol:  # NaN fails too
+            rejected += 1
+            continue
         records.append(SampleRecord(bits, energy, multiplicity))
     metadata = dict(doc.get("metadata", {}))
     if model is not None:

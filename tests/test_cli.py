@@ -288,6 +288,23 @@ def test_stats_on_solver_output(three_city_path, tmp_path):
     assert doc["rejected_records"] == 0
 
 
+def test_stats_reproduces_the_solve_stats_csv(tmp_path):
+    # The samples' stored energies are BLAS sums; re-deriving them with the
+    # model's sparse sum changed last digits (two rows at
+    # -6.288888888888889 read back as -6.28888888888889 here) and with
+    # them the row order.
+    from tsvrp.demo import delivery_demo_instance
+
+    instance = tmp_path / "demo.json"
+    instance.write_text(serialize_instance(delivery_demo_instance()))
+    common = ["--instance", str(instance), "--lambda", "2"]
+    solve = ["solve", *common, "--sampler", "sa", "--sweeps", "60", "--restarts", "200", "--seed", "5"]
+    assert main([*solve, "--out", str(tmp_path / "run")]) == 0
+    stats = ["stats", *common, "--samples", str(tmp_path / "run.samples.json")]
+    assert main([*stats, "--out", str(tmp_path / "regraded")]) == 0
+    assert (tmp_path / "regraded.stats.csv").read_bytes() == (tmp_path / "run.stats.csv").read_bytes()
+
+
 def test_stats_rejects_corrupted_records(three_city_path, tmp_path):
     main(
         [
@@ -425,8 +442,9 @@ def test_stats_rejects_malformed_sample_document(minimal_instance_path, tmp_path
         lambda r: [r[0], r[1], -7],
         lambda r: [r[0], r[1], 0],
         lambda r: [r[0], r[1], 1.5],
+        lambda r: [r[0], float("nan"), r[2]],
     ],
-    ids=["wrong-length", "non-binary", "negative", "zero", "fractional"],
+    ids=["wrong-length", "non-binary", "negative", "zero", "fractional", "nan-energy"],
 )
 def test_stats_rejects_hostile_records(minimal_instance_path, tmp_path, corrupt):
     main(["solve", "--instance", minimal_instance_path, "--out", str(tmp_path / "run")])

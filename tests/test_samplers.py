@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from tsvrp import (
     AnnealSchedule,
     QuboModel,
     SamplerError,
+    Vehicle,
     build_model,
     exhaustive_solve,
     simulated_anneal,
@@ -281,3 +284,291 @@ def test_sample_set_file_round_trip(tmp_path):
     write_sample_set(result, path)
     loaded = read_sample_set(path, model=model)
     assert loaded.records == result.records
+
+
+# -- the chains-last kernel against the chunked kernel it replaced ------------------
+
+
+def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
+    """The earlier ``simulated_anneal``: chains-first state, the whole random
+    tape of a chunk of chains drawn up front, a separate branch for uphill
+    steps, and every field of an accepting chain updated on each flip."""
+    from tsvrp.samplers import SampleRecord, SampleSet, _merge_records, _sa_metadata
+
+    n = model.n_vars
+    lin, coupling = model.dense_arrays()
+    betas = schedule.betas(model)
+    sweeps, restarts = schedule.sweeps, schedule.restarts
+    best_bits_all, trajectory = [], []
+    if n == 0:
+        records = (SampleRecord((), model.constant, restarts),)
+        b0, b1 = schedule.resolved_betas(model)
+        return SampleSet(records=records, metadata=_sa_metadata(model, schedule, b0, b1))
+
+    chunk = max(1, min(restarts, budget // (sweeps * n * 8)))
+    for base in range(0, restarts, chunk):
+        size = min(chunk, restarts - base)
+        bits = np.empty((size, n))
+        tape = np.empty((sweeps, n, size))
+        for r in range(size):
+            rng = np.random.Generator(np.random.PCG64(schedule.seed + base + r))
+            bits[r] = rng.integers(0, 2, n)
+            tape[:, :, r] = rng.random((sweeps, n))
+        field_now = bits @ coupling + lin
+        cur = model.energies(bits)
+        best = cur.copy()
+        best_bits = bits.copy()
+        chunk_traj = [best.copy()]
+        for t in range(sweeps):
+            beta = betas[t]
+            for j in range(n):
+                de = field_now[:, j] * (1.0 - 2.0 * bits[:, j])
+                accept = de <= 0.0
+                uphill = ~accept
+                if uphill.any():
+                    accept[uphill] = tape[t, j, uphill] < np.exp(-beta * de[uphill])
+                rows = np.nonzero(accept)[0]
+                if rows.size:
+                    sign = 1.0 - 2.0 * bits[rows, j]
+                    bits[rows, j] += sign
+                    field_now[rows] += sign[:, None] * coupling[j]
+                    cur[rows] += de[rows]
+                    improved = rows[cur[rows] < best[rows]]
+                    if improved.size:
+                        best[improved] = cur[improved]
+                        best_bits[improved] = bits[improved]
+            chunk_traj.append(best.copy())
+        best_bits_all.append(best_bits)
+        trajectory.append(np.stack(chunk_traj, axis=0))
+
+    stacked = np.vstack(best_bits_all).astype(int)
+    energies = model.energies(stacked.astype(float))
+    records = _merge_records([tuple(map(int, row)) for row in stacked], energies.tolist())
+    b0, b1 = schedule.resolved_betas(model)
+    metadata = _sa_metadata(model, schedule, b0, b1)
+    full_trajectory = np.concatenate(trajectory, axis=1)
+    metadata["best_energy_per_sweep"] = full_trajectory.min(axis=1).tolist()
+    if track_chains:
+        metadata["chain_best_per_sweep"] = full_trajectory.T.tolist()
+    return SampleSet(records=records, metadata=metadata)
+
+
+def demo_model():
+    from tsvrp.demo import DEMO_LAMBDA, delivery_demo_instance
+
+    inst = delivery_demo_instance()
+    return build_model(inst, standard_parameters(inst.costs, DEMO_LAMBDA))
+
+
+def planted_fleet_model():
+    """A capacitated fleet of the size the benchmark anneals: a depot and
+    eight customers, four vehicles leaving with two units each, T = 3.
+    The legs of routes (1, 2, 3), (1, 4, 5), ... are the cheapest."""
+    from cases import _instance
+
+    t, n, vehicles, load = 3, 9, 4, 2
+    costs = np.random.default_rng(8).uniform(2.0, 3.2, size=(t - 1, n, n))
+    for v in range(vehicles):
+        stops = [1, 2 + load * v, 3 + load * v]
+        for leg, (b, a) in enumerate(zip(stops, stops[1:])):
+            costs[leg, a - 1, b - 1] = 1.0
+    costs[0, 0, 1], costs[t - 2, 0, n - 1] = 0.0, 3.2  # pin the range on unusable legs
+    variations = np.zeros((t - 1, n, n, 1), dtype=int)
+    variations[:, 1:, :, 0] = -1
+    fleet = [
+        Vehicle(id=v + 1, start_city=1, capacity_lower=(0,), capacity_upper=(load,), start_capacity=(load,))
+        for v in range(vehicles)
+    ]
+    inst = _instance("TS_MCVRP", t, n, fleet, costs, np.ones((t - 1, n, n), dtype=int), variations=variations)
+    return build_model(inst, standard_parameters(inst.costs, 2.0))
+
+
+def _force_shards(monkeypatch, shards):
+    """Every call with at least ``shards`` chains runs in ``shards`` shards."""
+    monkeypatch.setattr(samplers_module, "_available_cpus", lambda: shards)
+    monkeypatch.setattr(samplers_module, "_MIN_SHARD_CHAINS", 1)
+
+
+def _assert_same_anneal(model, schedule, reference_budget=200_000_000):
+    import multiprocessing
+
+    for track in (True, False):
+        expected = _reference_anneal(model, schedule, track, reference_budget)
+        actual = simulated_anneal(model, schedule, track_chains=track)
+        assert actual.to_document() == expected.to_document()
+        assert ("chain_best_per_sweep" in actual.metadata) == track
+        assert not multiprocessing.active_children()
+
+
+def test_planted_fleet_model_is_fleet_sized():
+    model = planted_fleet_model()
+    assert model.n_vars == 216
+    assert len(model.q_c) > 5_000
+
+
+def test_kernel_matches_reference_on_every_case(monkeypatch):
+    # Groups of two chains; on all but the smallest models, tape blocks of
+    # fewer sweeps than the run has.
+    schedule = AnnealSchedule(sweeps=20, restarts=5, seed=41)
+    blocked = 0
+    for case in load_cases():
+        model = build_model(case.instance, standard_parameters(case.instance.costs, case.lam))
+        n = model.n_vars
+        if n == 0:
+            continue
+        monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", 4 * 8 * (8 * n + schedule.sweeps + 9))
+        group, block = samplers_module._group_plan(n, schedule.sweeps, schedule.restarts)
+        assert group == 2
+        blocked += block < schedule.sweeps
+        _assert_same_anneal(model, schedule)
+    assert blocked >= 15
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+@pytest.mark.parametrize("restarts", [7, 2])
+def test_kernel_matches_reference_across_shards(monkeypatch, shards, restarts):
+    _force_shards(monkeypatch, shards)
+    schedule = AnnealSchedule(sweeps=9, restarts=restarts, seed=20240817)
+    for model in (demo_model(), planted_fleet_model()):
+        _assert_same_anneal(model, schedule)
+
+
+@pytest.mark.parametrize("budget", [1, 30_000, 200_000])
+def test_kernel_matches_reference_across_tape_blocks(monkeypatch, budget):
+    # From one chain with one sweep per block up to whole groups.
+    _force_shards(monkeypatch, 2)
+    monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", budget)
+    _assert_same_anneal(demo_model(), AnnealSchedule(sweeps=11, restarts=9, seed=3))
+
+
+def test_kernel_matches_reference_across_start_batches(monkeypatch):
+    # Start batches of four chains, which shards and groups straddle.
+    model = demo_model()
+    schedule = AnnealSchedule(sweeps=10, restarts=11, seed=77)
+    start_budget = 4 * 8 * schedule.sweeps * model.n_vars
+    monkeypatch.setattr(samplers_module, "_START_BATCH_BUDGET", start_budget)
+    monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", 60_000)
+    for shards in (1, 2, 3):
+        _force_shards(monkeypatch, shards)
+        _assert_same_anneal(model, schedule, reference_budget=start_budget)
+
+
+def test_group_plan_stays_within_the_budget(monkeypatch):
+    for budget in (50_000, 1_000_000, 16_000_000):
+        monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", budget)
+        for n in (3, 84, 216):
+            for sweeps in (1, 40, 1000):
+                state = 8 * (8 * n + sweeps + 9)
+                if 2 * state + 8 * n > budget:
+                    continue
+                for chains in (1, 7, 2000, 10**6):
+                    group, block = samplers_module._group_plan(n, sweeps, chains)
+                    assert 1 <= group <= chains and 1 <= block <= sweeps
+                    assert group * state + 8 * n * group * block <= budget
+
+
+def test_sa_memory_does_not_grow_with_sweeps_times_restarts(monkeypatch):
+    # The kernel it replaced held a tape of sweeps * n * restarts doubles
+    # (1.6 MB here); now each chain costs a few n-sized rows (its start,
+    # its best bits and energy, its generator) beyond the budget, whatever
+    # the number of sweeps.
+    import tracemalloc
+
+    monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", 64_000)
+    _force_shards(monkeypatch, 1)
+    model = twenty_variable_model()
+    schedule = AnnealSchedule(sweeps=50, restarts=200, seed=2)
+    simulated_anneal(model, AnnealSchedule(sweeps=1, restarts=1))  # caches the model's dense form
+    tracemalloc.start()
+    try:
+        simulated_anneal(model, schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    old_tape = 8 * schedule.sweeps * model.n_vars * schedule.restarts
+    assert peak < 64_000 + 8 * model.n_vars * schedule.restarts * 16 + 100_000 < old_tape / 2
+
+
+def test_sharded_anneal_reraises_a_shard_failure(monkeypatch):
+    import multiprocessing
+    import signal
+
+    _force_shards(monkeypatch, 2)
+    parent = os.getpid()
+    real = samplers_module._anneal_group
+
+    def failing_in_workers(*args):
+        if os.getpid() != parent:
+            raise SamplerError("worker failed")
+        return real(*args)
+
+    def hung(signum, frame):
+        raise AssertionError("a failing shard left the caller waiting")
+
+    monkeypatch.setattr(samplers_module, "_anneal_group", failing_in_workers)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        with pytest.raises(SamplerError, match="worker failed"):
+            simulated_anneal(demo_model(), AnnealSchedule(sweeps=5, restarts=6, seed=1))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_shard_child_exits_when_the_caller_is_killed(tmp_path):
+    # The child announces itself, the caller dies mid-run, and the child
+    # must end once its range is done instead of waiting on a dead pipe.
+    import subprocess
+    import sys
+    import time
+
+    script = tmp_path / "killed_caller.py"
+    script.write_text(
+        "import os, sys\n"
+        "sys.path[:0] = sys.argv[1:]\n"
+        "import tsvrp.samplers as S\n"
+        "from test_samplers import demo_model\n"
+        "S._available_cpus = lambda: 2\n"
+        "S._MIN_SHARD_CHAINS = 1\n"
+        "real = S._anneal_range\n"
+        "def announced(job, lo, hi):\n"
+        "    if lo:\n"
+        "        print(os.getpid(), flush=True)\n"
+        "    return real(job, lo, hi)\n"
+        "S._anneal_range = announced\n"
+        "S.simulated_anneal(demo_model(), S.AnnealSchedule(sweeps=400, restarts=4, seed=1))\n"
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    caller = subprocess.Popen(
+        [sys.executable, str(script), src, here], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True
+    )
+    try:
+        child = int(caller.stdout.readline())
+    finally:
+        caller.kill()
+        caller.wait(timeout=60)
+
+    def running(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 120
+    while running(child) and time.monotonic() < deadline:
+        time.sleep(0.2)
+    assert not running(child)
+
+
+def test_shard_ranges_cover_every_chain_once(monkeypatch):
+    monkeypatch.setattr(samplers_module, "_available_cpus", lambda: 2)
+    assert samplers_module._shard_ranges(2000) == [(0, 1000), (1000, 2000)]
+    assert samplers_module._shard_ranges(64) == [(0, 64)]
+    assert samplers_module._shard_ranges(1023) == [(0, 1023)]
+    monkeypatch.setattr(samplers_module, "_available_cpus", lambda: 3)
+    assert samplers_module._shard_ranges(10_000) == [(0, 3333), (3333, 6666), (6666, 10_000)]
