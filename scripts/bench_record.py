@@ -2,10 +2,11 @@
 
     python3 scripts/bench_record.py --pr <number> --baseline <parent checkout>
 
-Runs ``python3 benchmark/run.py`` as a subprocess for every workload and
-seed (default: seeds 1, 2 and 3, 40 s each), then one ``--trace 1`` run
-per workload, in this checkout and, with ``--baseline``, in a second
-checkout too.  With a baseline the two checkouts alternate within each
+Runs ``python3 benchmark/run.py`` as a subprocess for every workload at
+seeds 1, 2 and 3, 40 s each, then one ``--trace 1`` run per workload at
+seed 1, in this checkout and, with ``--baseline``, in a second checkout
+too.  The seeds and the run length are fixed so that the files of
+different changes compare.  With a baseline the two checkouts alternate within each
 pair of runs, starting with the baseline on even pairs and with this
 checkout on odd ones, so that a slow spell of the host falls on both.
 
@@ -35,12 +36,14 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("delivery", "corpus", "fleet")
+SEEDS = (1, 2, 3)
+SECONDS = 40.0
 
 
-def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_benchmark(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``benchmark/run.py`` run; its last output line, parsed."""
     argv = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(argv[1:])} in {checkout} exited {done.returncode}:\n{done.stderr}")
@@ -109,28 +112,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, help="number in the output name, BENCH_<pr>.json")
     parser.add_argument("--baseline", type=Path, help="a second checkout to run alternately, labelled parent")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the root of this checkout")
     args = parser.parse_args(argv)
 
     checkouts = {"change": ROOT}
     if args.baseline is not None:
         checkouts = {"parent": args.baseline.resolve(), "change": ROOT}
-    runs: dict[str, dict[str, list]] = {label: {w: [] for w in args.workloads} for label in checkouts}
+    runs: dict[str, dict[str, list]] = {label: {w: [] for w in WORKLOADS} for label in checkouts}
     traced: dict[str, dict[str, dict]] = {label: {} for label in checkouts}
 
-    for workload in args.workloads:
-        for pair, seed in enumerate(args.seeds):
+    for workload in WORKLOADS:
+        for pair, seed in enumerate(SEEDS):
             labels = list(checkouts) if pair % 2 == 0 else list(reversed(checkouts))
             for label in labels:
-                result = run_benchmark(checkouts[label], workload, seed, args.seconds, 0)
+                result = run_benchmark(checkouts[label], workload, seed, 0)
                 runs[label][workload].append((seed, result))
                 metrics = {k: v["value"] for k, v in result["metrics"].items()}
                 print(f"{workload} seed {seed} {label}: failed {result['failed']} {metrics}", flush=True)
         for label, checkout in checkouts.items():
-            traced[label][workload] = run_benchmark(checkout, workload, args.seeds[0], args.seconds, 1)
+            traced[label][workload] = run_benchmark(checkout, workload, SEEDS[0], 1)
             print(f"{workload} traced {label}: failed {traced[label][workload]['failed']}", flush=True)
 
     report = {
@@ -138,9 +137,9 @@ def main(argv: list[str] | None = None) -> int:
         "machine": machine(),
         "settings": {
             "command": "python3 benchmark/run.py",
-            "seconds": args.seconds,
-            "seeds": args.seeds,
-            "traced_seed": args.seeds[0],
+            "seconds": SECONDS,
+            "seeds": list(SEEDS),
+            "traced_seed": SEEDS[0],
             "order": "alternating pairs" if len(checkouts) > 1 else "one checkout",
         },
         "checkouts": {},
@@ -160,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
                 "attempted": [r["attempted"] for _, r in results],
                 "end_to_end": end_to_end,
             }
-            restarts = annealed_restarts(checkout, workload, args.seeds[0])
+            restarts = annealed_restarts(checkout, workload, SEEDS[0])
             if restarts:
                 entry["restarts"] = restarts
                 entry["tts99_s"] = summary([
@@ -177,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
             workloads[workload] = entry
         report["checkouts"][label] = {**describe(checkout), "workloads": workloads}
 
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"written {out}")
     return 0

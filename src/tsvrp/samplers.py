@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import multiprocessing
 import os
 import threading
@@ -36,6 +37,9 @@ _START_BATCH_BUDGET = 200_000_000
 
 # Chains go to a process pool only when every shard gets this many.
 _MIN_SHARD_CHAINS = 512
+
+# What one chain's generator takes, about 1 kB for a PCG64 under numpy 2.
+_GENERATOR_BYTES = 1_024
 
 
 class SamplerError(RuntimeError):
@@ -113,6 +117,9 @@ class AnnealSchedule:
             raise SamplerError(f"sweeps must be >= 1, got {self.sweeps}")
         if self.restarts < 1:
             raise SamplerError(f"restarts must be >= 1, got {self.restarts}")
+        for name, beta in (("beta_start", self.beta_start), ("beta_end", self.beta_end)):
+            if beta is not None and not 0 < beta < math.inf:
+                raise SamplerError(f"{name} must be positive and finite, got {beta}")
         if self.beta_start is not None and self.beta_end is not None:
             _check_betas(self.beta_start, self.beta_end)
 
@@ -131,10 +138,15 @@ class AnnealSchedule:
 
 
 def _check_betas(beta_start: float, beta_end: float) -> None:
-    if beta_start <= 0 or beta_end <= 0:
-        raise SamplerError("betas must be positive")
+    # An infinite beta turns a zero-cost step's -beta * dE into NaN,
+    # which the acceptance compare would reject.
+    if not (0 < beta_start < math.inf and 0 < beta_end < math.inf):
+        raise SamplerError(f"betas must be positive and finite, got {beta_start} and {beta_end}")
     if not beta_start < beta_end:
         raise SamplerError(f"beta_start {beta_start} must be below beta_end {beta_end}")
+    # The ramp's last step, beta_start * (beta_end / beta_start).
+    if not math.isfinite(beta_start * (beta_end / beta_start)):
+        raise SamplerError(f"beta_end / beta_start overflows: {beta_end} / {beta_start}")
 
 
 def exhaustive_solve(model: QuboModel, cap: int = 25) -> SampleSet:
@@ -307,15 +319,20 @@ def _shard_child(job: _AnnealJob, lo: int, hi: int, reader, writer) -> None:
     writer.send(outcome)
 
 
+def _chain_bytes(n: int, sweeps: int) -> int:
+    """One chain's share of its group's state: its generator, at most
+    eight ``n``-sized rows at once and its best energy per sweep."""
+    return 8 * (8 * n + sweeps + 9) + _GENERATOR_BYTES
+
+
 def _group_plan(n: int, sweeps: int, chains: int) -> tuple[int, int]:
     """Chains per group, as even as they come, and sweeps per tape block.
 
-    A group's state (at most eight ``(n, group)`` arrays at once and the
-    best energy per sweep) takes at most half of ``_TAPE_BUDGET``, its
-    tape block the rest.
+    A group's state takes at most three quarters of ``_TAPE_BUDGET``,
+    its tape block the rest.
     """
-    state = 8 * (8 * n + sweeps + 9)
-    groups = -(-chains // max(1, _TAPE_BUDGET // (2 * state)))
+    state = _chain_bytes(n, sweeps)
+    groups = -(-chains // max(1, 3 * _TAPE_BUDGET // (4 * state)))
     group = -(-chains // groups)
     block = max(1, min(sweeps, (_TAPE_BUDGET - group * state) // (8 * n * group)))
     return group, block
@@ -340,8 +357,8 @@ def _anneal_range(job: _AnnealJob, lo: int, hi: int) -> tuple[np.ndarray, np.nda
             [part[max(g0, b0) - b0 : min(g1, b0 + batch) - b0] for part in start_batch(b0)]
             for b0 in range(g0 - g0 % batch, g1, batch)
         ]
-        rngs = [rng for piece in pieces for rng in piece[0]]
-        start, field, energy = (np.concatenate(column) for column in zip(*(p[1:] for p in pieces)))
+        start, field, energy = (np.concatenate(column) for column in zip(*pieces))
+        rngs = [_chain_start(job.seed + r, n)[0] for r in range(g0, g1)]
         best_bits, trajectory = _anneal_group(job, rngs, start, field, energy, block)
         bits.append(best_bits)
         trajectories.append(trajectory if job.track else trajectory.min(axis=1))
@@ -350,16 +367,24 @@ def _anneal_range(job: _AnnealJob, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     return np.concatenate(bits), np.min(trajectories, axis=0)
 
 
+def _chain_start(seed: int, n: int) -> tuple[np.random.Generator, np.ndarray]:
+    """A chain's generator, past its starting bits, and those bits."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng, rng.integers(0, 2, n)
+
+
 def _start_batch(job: _AnnealJob, b0: int, b1: int):
-    """Generators, starting bits, fields and energies of chains ``b0 .. b1 - 1``."""
+    """Starting bits, fields and energies of chains ``b0 .. b1 - 1``.
+
+    The generators are dropped here and made again group by group, so
+    that only one group's generators are alive at a time.
+    """
     n = job.model.n_vars
     bits = np.empty((b1 - b0, n))
-    rngs = []
     for r in range(b0, b1):
-        rngs.append(np.random.Generator(np.random.PCG64(job.seed + r)))
-        bits[r - b0] = rngs[-1].integers(0, 2, n)
+        bits[r - b0] = _chain_start(job.seed + r, n)[1]
     lin, coupling = job.model.dense_arrays()
-    return rngs, bits, bits @ coupling + lin, job.model.energies(bits)
+    return bits, bits @ coupling + lin, job.model.energies(bits)
 
 
 def _anneal_group(job: _AnnealJob, rngs, bits, field, energy, block: int):
@@ -441,8 +466,9 @@ def read_sample_set(path, model: QuboModel | None = None, tol: float = IMPORT_TO
     positive integer multiplicity, or whose stored energy disagrees with
     the model by more than ``tol``, are rejected (dropped); the number of
     rejections lands in the metadata so silent corruption stays visible.
-    A record that agrees keeps its stored energy, so a sampler's own
-    output reads back unchanged to the last digit.
+    A record within ``ENERGY_TOL`` of the model keeps its stored energy,
+    so a sampler's own output reads back unchanged to the last digit;
+    any other accepted record takes the model's energy.
     A malformed document raises ``ValueError`` or ``TypeError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -463,9 +489,13 @@ def read_sample_set(path, model: QuboModel | None = None, tol: float = IMPORT_TO
             rejected += 1
             continue
         bits = tuple(int(ch) for ch in bitstring)
-        if model is not None and not abs(model.energy(bits) - energy) <= tol:  # NaN fails too
-            rejected += 1
-            continue
+        if model is not None:
+            actual = model.energy(bits)
+            if not abs(actual - energy) <= tol:  # NaN fails too
+                rejected += 1
+                continue
+            if not abs(actual - energy) <= ENERGY_TOL:
+                energy = actual
         records.append(SampleRecord(bits, energy, multiplicity))
     metadata = dict(doc.get("metadata", {}))
     if model is not None:

@@ -412,6 +412,15 @@ def test_single_beta_flag_past_the_other_default_is_usage_error(minimal_instance
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "betas",
+    [["--beta-end", "inf"], ["--beta-start", "1e-10", "--beta-end", "1e300"]],
+    ids=["infinite", "overflowing-ratio"],
+)
+def test_non_finite_beta_ramp_is_usage_error(minimal_instance_path, tmp_path, betas):
+    assert _solve_sa(minimal_instance_path, tmp_path / "r", *betas) == 2
+
+
 def _stats(instance_path, samples_path, out):
     return main(
         [

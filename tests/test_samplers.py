@@ -152,6 +152,10 @@ def test_sa_matches_exhaustive_on_twenty_variables():
         {"restarts": 0},
         {"beta_start": 2.0, "beta_end": 1.0},
         {"beta_start": -1.0, "beta_end": 1.0},
+        {"beta_end": float("inf")},
+        {"beta_start": 1.0, "beta_end": float("inf")},
+        {"beta_start": float("nan")},
+        {"beta_start": 1e-10, "beta_end": 1e300},  # the ramp's ratio overflows
     ],
 )
 def test_schedule_validation(kwargs):
@@ -275,6 +279,20 @@ def test_external_sample_set_reverification(tmp_path):
     assert loaded.metadata["rejected_records"] == 1
     assert len(loaded.records) == 1
     assert loaded.records[0].bits == (1,)
+
+
+def test_import_keeps_only_energies_the_model_confirms(tmp_path):
+    # Within ENERGY_TOL the stored energy stands; beyond it, but within the
+    # import tolerance, the model's energy replaces it.
+    import json
+
+    model = single_variable_model()
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"records": [["1", -1.0 + 1e-7, 1], ["0", 1e-12, 2]]}))
+    loaded = read_sample_set(path, model=model)
+    assert loaded.metadata["rejected_records"] == 0
+    assert [(r.bits, r.energy) for r in loaded.records] == [((1,), model.energy((1,))), ((0,), 1e-12)]
+    assert model.energy((1,)) == -1.0
 
 
 def test_sample_set_file_round_trip(tmp_path):
@@ -416,7 +434,7 @@ def test_kernel_matches_reference_on_every_case(monkeypatch):
         n = model.n_vars
         if n == 0:
             continue
-        monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", 4 * 8 * (8 * n + schedule.sweeps + 9))
+        monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", 3 * samplers_module._chain_bytes(n, schedule.sweeps))
         group, block = samplers_module._group_plan(n, schedule.sweeps, schedule.restarts)
         assert group == 2
         blocked += block < schedule.sweeps
@@ -458,8 +476,8 @@ def test_group_plan_stays_within_the_budget(monkeypatch):
         monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", budget)
         for n in (3, 84, 216):
             for sweeps in (1, 40, 1000):
-                state = 8 * (8 * n + sweeps + 9)
-                if 2 * state + 8 * n > budget:
+                state = samplers_module._chain_bytes(n, sweeps)
+                if state + 8 * n > budget:
                     continue
                 for chains in (1, 7, 2000, 10**6):
                     group, block = samplers_module._group_plan(n, sweeps, chains)
@@ -487,6 +505,26 @@ def test_sa_memory_does_not_grow_with_sweeps_times_restarts(monkeypatch):
         tracemalloc.stop()
     old_tape = 8 * schedule.sweeps * model.n_vars * schedule.restarts
     assert peak < 64_000 + 8 * model.n_vars * schedule.restarts * 16 + 100_000 < old_tape / 2
+
+
+def test_sa_memory_holds_one_group_of_generators(monkeypatch):
+    # All 5,000 chains share one start batch; their generators (about
+    # 1 kB each) would double the peak if the batch kept them.
+    import tracemalloc
+
+    monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", 64_000)
+    _force_shards(monkeypatch, 1)
+    model = twenty_variable_model()
+    schedule = AnnealSchedule(sweeps=1, restarts=5_000, seed=2)
+    simulated_anneal(model, AnnealSchedule(sweeps=1, restarts=1))  # caches the model's dense form
+    tracemalloc.start()
+    try:
+        simulated_anneal(model, schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    generators = samplers_module._GENERATOR_BYTES * schedule.restarts
+    assert peak < 64_000 + 5 * 8 * model.n_vars * schedule.restarts + 100_000 < generators
 
 
 def test_sharded_anneal_reraises_a_shard_failure(monkeypatch):
