@@ -486,45 +486,28 @@ def test_group_plan_stays_within_the_budget(monkeypatch):
 
 
 def test_sa_memory_does_not_grow_with_sweeps_times_restarts(monkeypatch):
-    # The kernel it replaced held a tape of sweeps * n * restarts doubles
-    # (1.6 MB here); now each chain costs a few n-sized rows (its start,
-    # its best bits and energy, its generator) beyond the budget, whatever
-    # the number of sweeps.
+    # Beyond the budget each chain costs a few n-sized rows (its start, its
+    # best bits and energy), whatever the number of sweeps.  At 50 x 200 the
+    # kernel it replaced held a 1.6 MB tape; at 1 x 5,000 all chains share
+    # one start batch, whose generators (about 1 kB each) are not kept.
     import tracemalloc
 
     monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", 64_000)
     _force_shards(monkeypatch, 1)
     model = twenty_variable_model()
-    schedule = AnnealSchedule(sweeps=50, restarts=200, seed=2)
+    n = model.n_vars
     simulated_anneal(model, AnnealSchedule(sweeps=1, restarts=1))  # caches the model's dense form
-    tracemalloc.start()
-    try:
-        simulated_anneal(model, schedule)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    old_tape = 8 * schedule.sweeps * model.n_vars * schedule.restarts
-    assert peak < 64_000 + 8 * model.n_vars * schedule.restarts * 16 + 100_000 < old_tape / 2
-
-
-def test_sa_memory_holds_one_group_of_generators(monkeypatch):
-    # All 5,000 chains share one start batch; their generators (about
-    # 1 kB each) would double the peak if the batch kept them.
-    import tracemalloc
-
-    monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", 64_000)
-    _force_shards(monkeypatch, 1)
-    model = twenty_variable_model()
-    schedule = AnnealSchedule(sweeps=1, restarts=5_000, seed=2)
-    simulated_anneal(model, AnnealSchedule(sweeps=1, restarts=1))  # caches the model's dense form
-    tracemalloc.start()
-    try:
-        simulated_anneal(model, schedule)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    generators = samplers_module._GENERATOR_BYTES * schedule.restarts
-    assert peak < 64_000 + 5 * 8 * model.n_vars * schedule.restarts + 100_000 < generators
+    for schedule, avoided in (
+        (AnnealSchedule(sweeps=50, restarts=200, seed=2), 8 * 50 * n * 200 / 2),
+        (AnnealSchedule(sweeps=1, restarts=5_000, seed=2), samplers_module._GENERATOR_BYTES * 5_000),
+    ):
+        tracemalloc.start()
+        try:
+            simulated_anneal(model, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000 + 5 * 8 * n * schedule.restarts + 100_000 < avoided
 
 
 def test_sharded_anneal_reraises_a_shard_failure(monkeypatch):
