@@ -135,11 +135,8 @@ def _run_config(args, params: hamiltonians.PenaltyParameters | None, seed: int |
 
 def cmd_build(args) -> int:
     inst = _load_instance(args)
-    issues = validate_instance(inst)
-    for issue in issues:
+    for issue in validate_instance(inst):
         print(f"[{issue.severity}] {issue.code}: {issue.message}")
-    if any(i.severity == "error" for i in issues):
-        return EXIT_INFEASIBLE
     params = _parameters(inst, args)
     model = hamiltonians.build_model(inst, params)
     cat = model.catalogue
@@ -191,13 +188,10 @@ def cmd_solve(args) -> int:
     print(f"best feasible cost: {result.best_feasible_cost}")
     if result.feasible_count == 0:
         return EXIT_INFEASIBLE
-    for record in sample_set.records:  # sorted by energy: first clean one wins
-        plan, record_report = decoder.evaluate_bits(
-            record.bits, model.catalogue, inst, mode=args.mode
-        )
-        if record_report.feasible:
-            print(json.dumps(plan.to_document(), sort_keys=True))
-            break
+    # Rows follow the records, sorted by energy: the first feasible one wins.
+    first = next(i for i, (_, feasible, _, _) in enumerate(result.rows) if feasible)
+    plan = decoder.decode(sample_set.records[first].bits, model.catalogue)
+    print(json.dumps(plan.to_document(), sort_keys=True))
     return EXIT_OK
 
 

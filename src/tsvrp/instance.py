@@ -366,26 +366,17 @@ def apply_priority(costs: CostSeries, weight: float, target_cities: Iterable[int
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    severity: str  # "error" | "warning"
+    severity: str  # "warning": structural errors raise on construction
     code: str
     message: str
 
 
 def validate_instance(inst: Instance) -> list[ValidationIssue]:
-    """Collect invariant violations and suspicious-but-legal conditions.
-
-    Structural errors are normally caught on construction; this pass
-    re-reports them (for instances assembled by hand) and adds warnings
-    for windows or capacity data that make part of the problem
-    unreachable.
+    """Warn about windows or capacity data that make part of the problem
+    unreachable.  Structural errors never reach this pass: every
+    ``Instance`` checks its structure on construction.
     """
     issues: list[ValidationIssue] = []
-    try:
-        _check_instance_structure(inst)
-    except InstanceError as exc:
-        issues.append(ValidationIssue("error", "structure", str(exc)))
-        return issues
-
     t, n = inst.horizon, inst.n_cities
     for v in inst.vehicles:
         if inst.windows.forbids(v.id, 1, v.start_city):
@@ -681,10 +672,6 @@ def parse_instance(text: str) -> Instance:
 def read_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance(fh.read())
-
-
-def write_instance(inst: Instance, path) -> None:
-    write_json(path, instance_to_document(inst))
 
 
 def write_json(path, doc: dict) -> None:

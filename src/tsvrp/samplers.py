@@ -7,7 +7,6 @@ the model itself cannot go unnoticed.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import multiprocessing
@@ -27,13 +26,6 @@ IMPORT_TOL = 1e-6
 # Per-chain random tapes are drawn in blocks of sweeps; one group of
 # chains keeps its state and one tape block within this many bytes.
 _TAPE_BUDGET = 16_000_000
-
-# A chain's starting field and energy come from BLAS products over a
-# batch of ``_START_BATCH_BUDGET // (8 * sweeps * n)`` chains, the chunk
-# for which the kernel used to draw whole tapes.  BLAS rounding depends
-# on a batch's shape, so keeping the batch keeps every chain's starting
-# energy, and with it the sample stream, to the last bit.
-_START_BATCH_BUDGET = 200_000_000
 
 # Chains go to a process pool only when every shard gets this many.
 _MIN_SHARD_CHAINS = 512
@@ -221,9 +213,7 @@ def simulated_anneal(
 
     _, coupling = model.dense_arrays()
     neighbours = tuple((nb, row[nb]) for row in coupling for nb in [np.flatnonzero(row)])
-    job = _AnnealJob(
-        model, schedule.seed, schedule.restarts, schedule.betas(model), neighbours, track_chains
-    )
+    job = _AnnealJob(model, schedule.seed, schedule.betas(model), neighbours, track_chains)
     ranges = _shard_ranges(schedule.restarts)
     parts = _run_sharded(job, ranges) if len(ranges) > 1 else [_anneal_range(job, *ranges[0])]
 
@@ -244,7 +234,6 @@ class _AnnealJob(NamedTuple):
 
     model: QuboModel
     seed: int
-    restarts: int
     betas: np.ndarray
     # Per variable: its neighbours' indices and couplings.
     neighbours: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -342,24 +331,12 @@ def _anneal_range(job: _AnnealJob, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     """Chains ``lo .. hi - 1``: best bits as ``uint8`` rows, and the best
     energy after each sweep, per chain if the job tracks chains, else
     the minimum over these chains."""
-    n, sweeps = job.model.n_vars, len(job.betas)
-    group, block = _group_plan(n, sweeps, hi - lo)
-    batch = max(1, min(job.restarts, _START_BATCH_BUDGET // (8 * sweeps * n)))
-
-    @functools.lru_cache(maxsize=1)
-    def start_batch(b0: int):
-        return _start_batch(job, b0, min(b0 + batch, job.restarts))
-
+    group, block = _group_plan(job.model.n_vars, len(job.betas), hi - lo)
     bits, trajectories = [], []
     for g0 in range(lo, hi, group):
-        g1 = min(g0 + group, hi)
-        pieces = [
-            [part[max(g0, b0) - b0 : min(g1, b0 + batch) - b0] for part in start_batch(b0)]
-            for b0 in range(g0 - g0 % batch, g1, batch)
-        ]
-        start, field, energy = (np.concatenate(column) for column in zip(*pieces))
-        rngs = [_chain_start(job.seed + r, n)[0] for r in range(g0, g1)]
-        best_bits, trajectory = _anneal_group(job, rngs, start, field, energy, block)
+        seeds = range(job.seed + g0, job.seed + min(g0 + group, hi))
+        rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+        best_bits, trajectory = _anneal_group(job, rngs, block)
         bits.append(best_bits)
         trajectories.append(trajectory if job.track else trajectory.min(axis=1))
     if job.track:
@@ -367,30 +344,13 @@ def _anneal_range(job: _AnnealJob, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     return np.concatenate(bits), np.min(trajectories, axis=0)
 
 
-def _chain_start(seed: int, n: int) -> tuple[np.random.Generator, np.ndarray]:
-    """A chain's generator, past its starting bits, and those bits."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng, rng.integers(0, 2, n)
-
-
-def _start_batch(job: _AnnealJob, b0: int, b1: int):
-    """Starting bits, fields and energies of chains ``b0 .. b1 - 1``.
-
-    The generators are dropped here and made again group by group, so
-    that only one group's generators are alive at a time.
-    """
-    n = job.model.n_vars
-    bits = np.empty((b1 - b0, n))
-    for r in range(b0, b1):
-        bits[r - b0] = _chain_start(job.seed + r, n)[1]
-    lin, coupling = job.model.dense_arrays()
-    return bits, bits @ coupling + lin, job.model.energies(bits)
-
-
-def _anneal_group(job: _AnnealJob, rngs, bits, field, energy, block: int):
+def _anneal_group(job: _AnnealJob, rngs, block: int):
     """Anneal one group of chains, held chains-last: row ``j`` of ``spin``
     (``1 - 2 * bits``) and of ``field`` is variable ``j`` of every chain.
 
+    Each chain draws its starting bits and switches them on in index
+    order, from ``field = lin`` and ``energy = constant``, with the same
+    elementwise adds as a flip, so no start depends on the group's shape.
     A flip of ``j`` moves only the fields of ``j``'s neighbours; rejected
     chains add ``w * 0``, which changes no field.  The best state is
     settled once per sweep: the first step that reached the sweep's
@@ -398,11 +358,19 @@ def _anneal_group(job: _AnnealJob, rngs, bits, field, energy, block: int):
     to its own from the sweep's end and the rest from the sweep's start,
     because a sweep visits each variable once, in order.
     """
-    spin = np.ascontiguousarray((1.0 - 2.0 * bits).T)
-    field = np.ascontiguousarray(field.T)
-    n, g = spin.shape
-    sweeps = len(job.betas)
-    cur = energy.copy()
+    lin, _ = job.model.dense_arrays()
+    n, g, sweeps = len(lin), len(rngs), len(job.betas)
+    spin = np.empty((n, g))
+    for c, rng in enumerate(rngs):
+        spin[:, c] = rng.integers(0, 2, n)
+    field = np.repeat(lin[:, None], g, axis=1)
+    cur = np.full(g, job.model.constant)
+    push = np.empty((max(len(nb) for nb, _ in job.neighbours), g))
+    for bit, f, (nb, w) in zip(spin, field, job.neighbours):
+        np.add(cur, f, out=cur, where=bit > 0)
+        field[nb] += np.einsum("i,j->ij", w, bit, out=push[: len(nb)])
+    spin *= -2.0
+    spin += 1.0
     best, best_spin = cur.copy(), spin.copy()
     sweep_start = np.empty_like(spin)
     energy_log = np.empty((n, g))
@@ -410,7 +378,6 @@ def _anneal_group(job: _AnnealJob, rngs, bits, field, energy, block: int):
     trajectory[0] = cur
     tape = np.empty((block, n, g))
     de, x, delta = np.empty(g), np.empty(g), np.empty(g)
-    push = np.empty((max(len(nb) for nb, _ in job.neighbours), g))
     accept = np.empty(g, dtype=bool)
     order, chains = np.arange(n)[:, None], np.arange(g)
     steps = list(zip(spin, field, energy_log, job.neighbours))

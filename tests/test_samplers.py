@@ -310,7 +310,9 @@ def test_sample_set_file_round_trip(tmp_path):
 def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
     """The earlier ``simulated_anneal``: chains-first state, the whole random
     tape of a chunk of chains drawn up front, a separate branch for uphill
-    steps, and every field of an accepting chain updated on each flip."""
+    steps, and every field of an accepting chain updated on each flip.  Its
+    start switches each chain's set bits on in index order, as the kernel's
+    does."""
     from tsvrp.samplers import SampleRecord, SampleSet, _merge_records, _sa_metadata
 
     n = model.n_vars
@@ -332,8 +334,12 @@ def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
             rng = np.random.Generator(np.random.PCG64(schedule.seed + base + r))
             bits[r] = rng.integers(0, 2, n)
             tape[:, :, r] = rng.random((sweeps, n))
-        field_now = bits @ coupling + lin
-        cur = model.energies(bits)
+        field_now = np.tile(lin, (size, 1))
+        cur = np.full(size, model.constant)
+        for j in range(n):  # switch each set bit on, in index order
+            on = bits[:, j] == 1
+            cur[on] += field_now[on, j]
+            field_now[on] += coupling[j]
         best = cur.copy()
         best_bits = bits.copy()
         chunk_traj = [best.copy()]
@@ -407,11 +413,11 @@ def _force_shards(monkeypatch, shards):
     monkeypatch.setattr(samplers_module, "_MIN_SHARD_CHAINS", 1)
 
 
-def _assert_same_anneal(model, schedule, reference_budget=200_000_000):
+def _assert_same_anneal(model, schedule):
     import multiprocessing
 
     for track in (True, False):
-        expected = _reference_anneal(model, schedule, track, reference_budget)
+        expected = _reference_anneal(model, schedule, track)
         actual = simulated_anneal(model, schedule, track_chains=track)
         assert actual.to_document() == expected.to_document()
         assert ("chain_best_per_sweep" in actual.metadata) == track
@@ -459,16 +465,21 @@ def test_kernel_matches_reference_across_tape_blocks(monkeypatch, budget):
     _assert_same_anneal(demo_model(), AnnealSchedule(sweeps=11, restarts=9, seed=3))
 
 
-def test_kernel_matches_reference_across_start_batches(monkeypatch):
-    # Start batches of four chains, which shards and groups straddle.
-    model = demo_model()
-    schedule = AnnealSchedule(sweeps=10, restarts=11, seed=77)
-    start_budget = 4 * 8 * schedule.sweeps * model.n_vars
-    monkeypatch.setattr(samplers_module, "_START_BATCH_BUDGET", start_budget)
-    monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", 60_000)
-    for shards in (1, 2, 3):
-        _force_shards(monkeypatch, shards)
-        _assert_same_anneal(model, schedule, reference_budget=start_budget)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_start_energies_match_the_model(monkeypatch, shards):
+    # Each chain's first trajectory entry is the energy of the bits its own
+    # generator draws first, evaluated by the model's sparse terms.  Neither
+    # model has a constant, so each gets one, which a dropped constant shows.
+    from tsvrp.samplers import ENERGY_TOL
+
+    _force_shards(monkeypatch, shards)
+    schedule = AnnealSchedule(sweeps=3, restarts=5, seed=606)
+    for model in (demo_model(), planted_fleet_model()):
+        model.constant = 1.25
+        result = simulated_anneal(model, schedule, track_chains=True)
+        for c, chain in enumerate(result.metadata["chain_best_per_sweep"]):
+            bits = np.random.Generator(np.random.PCG64(schedule.seed + c)).integers(0, 2, model.n_vars)
+            assert abs(chain[0] - model.energy(tuple(bits.tolist()))) <= ENERGY_TOL
 
 
 def test_group_plan_stays_within_the_budget(monkeypatch):
@@ -486,10 +497,10 @@ def test_group_plan_stays_within_the_budget(monkeypatch):
 
 
 def test_sa_memory_does_not_grow_with_sweeps_times_restarts(monkeypatch):
-    # Beyond the budget each chain costs a few n-sized rows (its start, its
-    # best bits and energy), whatever the number of sweeps.  At 50 x 200 the
-    # kernel it replaced held a 1.6 MB tape; at 1 x 5,000 all chains share
-    # one start batch, whose generators (about 1 kB each) are not kept.
+    # Beyond the budget each chain costs a few n-sized rows (its best bits
+    # and energy), whatever the number of sweeps.  At 50 x 200 the kernel it
+    # replaced held a 1.6 MB tape; at 1 x 5,000 only one group's generators
+    # (about 1 kB each) are alive at a time.
     import tracemalloc
 
     monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", 64_000)
