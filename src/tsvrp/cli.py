@@ -116,12 +116,9 @@ def _run_config(args, params: hamiltonians.PenaltyParameters | None, seed: int |
         "out": args.out,
         "seed": seed,
     }
-    for key in ("sampler", "sweeps", "restarts"):
+    for key in ("sampler", "sweeps", "restarts", "beta_start", "beta_end"):
         if hasattr(args, key):
             config[key] = getattr(args, key)
-    for key, attr in (("beta_start", "beta_start"), ("beta_end", "beta_end")):
-        if hasattr(args, attr):
-            config[key] = getattr(args, attr)
     if params is not None:
         config["parameters"] = {
             "lambda": params.lam,
@@ -131,6 +128,12 @@ def _run_config(args, params: hamiltonians.PenaltyParameters | None, seed: int |
             "uniform_cost": params.uniform_cost,
         }
     return config
+
+
+def _write_stats(out: str, result: decoder.SolveStats, extra: dict) -> None:
+    write_json(f"{out}.stats.json", {**result.to_document(), **extra})
+    with open(f"{out}.stats.csv", "w", encoding="utf-8") as fh:
+        fh.write(result.to_csv())
 
 
 def cmd_build(args) -> int:
@@ -176,11 +179,7 @@ def cmd_solve(args) -> int:
     result = decoder.stats(sample_set, model.catalogue, inst, mode=args.mode)
     config = _run_config(args, params, seed)
     samplers.write_sample_set(sample_set, f"{args.out}.samples.json", extra={"run_config": config})
-    stats_doc = result.to_document()
-    stats_doc["run_config"] = config
-    write_json(f"{args.out}.stats.json", stats_doc)
-    with open(f"{args.out}.stats.csv", "w", encoding="utf-8") as fh:
-        fh.write(result.to_csv())
+    _write_stats(args.out, result, {"run_config": config})
     print(f"free variables: {model.n_vars}")
     print(f"samples: {result.total_samples}")
     print(f"feasible rate: {result.feasible_rate}")
@@ -254,12 +253,8 @@ def cmd_stats(args) -> int:
         raise UsageError(f"unreadable sample set: {exc}") from exc
     result = decoder.stats(sample_set, model.catalogue, inst, mode=args.mode)
     config = _run_config(args, params, seed=None)
-    stats_doc = result.to_document()
-    stats_doc["run_config"] = config
-    stats_doc["rejected_records"] = sample_set.metadata.get("rejected_records", 0)
-    write_json(f"{args.out}.stats.json", stats_doc)
-    with open(f"{args.out}.stats.csv", "w", encoding="utf-8") as fh:
-        fh.write(result.to_csv())
+    rejected = sample_set.metadata.get("rejected_records", 0)
+    _write_stats(args.out, result, {"run_config": config, "rejected_records": rejected})
     print(f"samples: {result.total_samples}")
     print(f"feasible rate: {result.feasible_rate}")
     return EXIT_OK if result.feasible_count else EXIT_INFEASIBLE
@@ -282,10 +277,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, oracle.SearchCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InstanceError, BuildError, samplers.SamplerError) as exc:
+    except (
+        UsageError, oracle.SearchCapExceeded, InstanceError, BuildError, samplers.SamplerError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - last-resort guard

@@ -153,7 +153,6 @@ class RoutePlan:
 @dataclass(frozen=True)
 class FeasibilityReport:
     violations: tuple[Violation, ...]
-    mode: str = MODE_WINDOW_TOLERANT
 
     @property
     def feasible(self) -> bool:
@@ -162,10 +161,6 @@ class FeasibilityReport:
     @property
     def hard(self) -> tuple[Violation, ...]:
         return tuple(v for v in self.violations if v.hard)
-
-    @property
-    def soft(self) -> tuple[Violation, ...]:
-        return tuple(v for v in self.violations if not v.hard)
 
 
 def decode(bits: Sequence[int], catalogue: VariableCatalogue) -> RoutePlan:
@@ -180,7 +175,7 @@ def decode(bits: Sequence[int], catalogue: VariableCatalogue) -> RoutePlan:
     chosen: list[VariableKey] = [key for key, value in catalogue.fixed.items() if value == 1]
     for idx, bit in enumerate(bits):
         if bit:
-            chosen.append(catalogue.key_of(idx))
+            chosen.append(catalogue.free_keys[idx])
 
     clashes = []
     cells: dict[tuple[int, int], list[VariableKey]] = {}
@@ -244,7 +239,7 @@ def check_feasibility(
     for vehicle in inst.vehicles:
         v.extend(_vehicle_checks(plan.events.get(vehicle.id, ()), vehicle, inst, mode))
     v.extend(_fleet_checks(plan, inst))
-    return FeasibilityReport(violations=tuple(v), mode=mode)
+    return FeasibilityReport(violations=tuple(v))
 
 
 def _vehicle_checks(events, vehicle, inst: Instance, mode: str) -> list[Violation]:
@@ -648,7 +643,7 @@ def evaluate_bits(
     try:
         plan = decode(bits, catalogue)
     except DecodeError as exc:
-        return None, FeasibilityReport(violations=exc.violations, mode=mode)
+        return None, FeasibilityReport(violations=exc.violations)
     return plan, check_feasibility(plan, inst, mode=mode)
 
 

@@ -72,9 +72,7 @@ class PenaltyParameters:
         return (d - self.mu) / self.rho
 
 
-def standard_parameters(
-    costs: CostSeries | Instance, lam: float, delta: float = 0.0
-) -> PenaltyParameters:
+def standard_parameters(costs: CostSeries, lam: float, delta: float = 0.0) -> PenaltyParameters:
     """Pick mu and rho so cost coefficients span exactly [-lam - delta, 0].
 
     ``mu`` is the largest cost; ``rho`` stretches the cost range onto the
@@ -85,8 +83,7 @@ def standard_parameters(
         raise BuildError(f"lam must be positive, got {lam}")
     if delta < 0:
         raise BuildError(f"delta must be non-negative, got {delta}")
-    series = costs.costs if isinstance(costs, Instance) else costs
-    lo, mu = series.min_max()
+    lo, mu = costs.min_max()
     span = mu - lo
     if span == 0.0:
         return PenaltyParameters(lam=lam, mu=mu, rho=lam, delta=delta, uniform_cost=True)

@@ -104,11 +104,6 @@ class CostSeries:
         if np.any(entries < 0):
             raise InstanceError("cost entries must be non-negative")
 
-    def cost(self, tau: int, to_city: int, from_city: int) -> float:
-        if to_city == from_city:
-            raise InstanceError("cost is undefined for a city paired with itself")
-        return float(self.values[tau - 1, to_city - 1, from_city - 1])
-
     def min_max(self) -> tuple[float, float]:
         """Smallest and largest off-diagonal cost over all intervals."""
         off = ~np.eye(self.values.shape[1], dtype=bool)
@@ -139,16 +134,6 @@ class DurationSeries:
             if np.any(s < 1):
                 raise InstanceError("duration must be ≥ 1 (stay)")
 
-    def duration(self, tau: int, to_city: int, from_city: int) -> int:
-        if to_city == from_city:
-            raise InstanceError("travel duration is undefined for a city paired with itself")
-        return int(self.travel[tau - 1, to_city - 1, from_city - 1])
-
-    def stay_duration(self, tau: int, city: int) -> int:
-        if self.stay is None:
-            raise InstanceError("instance has no stay durations")
-        return int(self.stay[tau - 1, city - 1])
-
 
 @dataclass(frozen=True)
 class VariationSeries:
@@ -161,11 +146,6 @@ class VariationSeries:
         object.__setattr__(self, "values", v)
         if v.ndim != 4 or v.shape[1] != v.shape[2]:
             raise InstanceError(f"variation series must have shape (T-1, N, N, M), got {v.shape}")
-
-    def variation(self, tau: int, to_city: int, from_city: int) -> tuple[int, ...]:
-        if to_city == from_city:
-            raise InstanceError("variation is undefined for a city paired with itself")
-        return tuple(int(x) for x in self.values[tau - 1, to_city - 1, from_city - 1])
 
 
 @dataclass(frozen=True)
@@ -216,10 +196,6 @@ class Instance:
         return self.model_kind in STATEFUL_KINDS
 
     @property
-    def capacitated(self) -> bool:
-        return self.capacity_dims >= 1
-
-    @property
     def depot_cities(self) -> frozenset[int]:
         cities: set[int] = set()
         for v in self.vehicles:
@@ -237,18 +213,26 @@ class Instance:
 
     # -- matrix accessors (1-based everywhere) -------------------------
     def cost(self, tau: int, to_city: int, from_city: int) -> float:
-        return self.costs.cost(tau, to_city, from_city)
+        if to_city == from_city:
+            raise InstanceError("cost is undefined for a city paired with itself")
+        return float(self.costs.values[tau - 1, to_city - 1, from_city - 1])
 
     def duration(self, tau: int, to_city: int, from_city: int) -> int:
-        return self.durations.duration(tau, to_city, from_city)
+        if to_city == from_city:
+            raise InstanceError("travel duration is undefined for a city paired with itself")
+        return int(self.durations.travel[tau - 1, to_city - 1, from_city - 1])
 
     def stay(self, tau: int, city: int) -> int:
-        return self.durations.stay_duration(tau, city)
+        if self.durations.stay is None:
+            raise InstanceError("instance has no stay durations")
+        return int(self.durations.stay[tau - 1, city - 1])
 
     def variation(self, tau: int, to_city: int, from_city: int) -> tuple[int, ...]:
         if self.variations is None:
             return ()
-        return self.variations.variation(tau, to_city, from_city)
+        if to_city == from_city:
+            raise InstanceError("variation is undefined for a city paired with itself")
+        return tuple(int(x) for x in self.variations.values[tau - 1, to_city - 1, from_city - 1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
@@ -416,7 +400,7 @@ def validate_instance(inst: Instance) -> list[ValidationIssue]:
                 ValidationIssue("warning", "city-unvisitable", f"city {a} is unvisitable: every interval is window-forbidden")
             )
 
-    if inst.capacitated:
+    if inst.capacity_dims >= 1:
         issues.extend(_capacity_reachability_issues(inst))
     return issues
 

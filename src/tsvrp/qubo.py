@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,12 +153,6 @@ class VariableCatalogue:
         if index < 0:
             raise KeyError(f"{key} is fixed")
         return index
-
-    def key_of(self, index: int) -> VariableKey:
-        return self.free_keys[index]
-
-    def all_keys(self) -> Iterable[VariableKey]:
-        return iter(self.keys)
 
 
 def build_catalogue(inst: Instance) -> VariableCatalogue:
@@ -428,8 +422,3 @@ def ising_energy(
 
 def write_model(model: QuboModel, path, extra: dict | None = None) -> None:
     write_json(path, {**model.to_document(), **(extra or {})})
-
-
-def read_model_document(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

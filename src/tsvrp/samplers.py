@@ -55,20 +55,10 @@ class SampleSet:
         ordered = tuple(sorted(self.records, key=lambda r: (r.energy, r.bits)))
         object.__setattr__(self, "records", ordered)
 
-    @property
-    def total_samples(self) -> int:
-        return sum(r.multiplicity for r in self.records)
-
-    @property
-    def best(self) -> SampleRecord:
-        if not self.records:
-            raise SamplerError("sample set is empty")
-        return self.records[0]
-
-    def verify(self, model: QuboModel, tol: float = ENERGY_TOL) -> None:
+    def verify(self, model: QuboModel) -> None:
         for r in self.records:
             actual = model.energy(r.bits)
-            if abs(actual - r.energy) > tol:
+            if abs(actual - r.energy) > ENERGY_TOL:
                 raise SamplerError(
                     f"record energy {r.energy} disagrees with model energy {actual}"
                 )
@@ -209,6 +199,10 @@ def simulated_anneal(
     metadata = _sa_metadata(model, schedule, b0, b1)
     if n == 0:
         records = (SampleRecord((), model.constant, schedule.restarts),)
+        per_sweep = [model.constant] * (schedule.sweeps + 1)
+        metadata["best_energy_per_sweep"] = per_sweep
+        if track_chains:
+            metadata["chain_best_per_sweep"] = [per_sweep[:] for _ in range(schedule.restarts)]
         return SampleSet(records=records, metadata=metadata)
 
     _, coupling = model.dense_arrays()
@@ -426,13 +420,14 @@ def write_sample_set(sample_set: SampleSet, path, extra: dict | None = None) -> 
     write_json(path, {**sample_set.to_document(), **(extra or {})})
 
 
-def read_sample_set(path, model: QuboModel | None = None, tol: float = IMPORT_TOL) -> SampleSet:
+def read_sample_set(path, model: QuboModel | None = None) -> SampleSet:
     """Load a sample-set document, re-verifying energies against a model.
 
     Records that are not a 0/1 string of the model's length with a
     positive integer multiplicity, or whose stored energy disagrees with
-    the model by more than ``tol``, are rejected (dropped); the number of
-    rejections lands in the metadata so silent corruption stays visible.
+    the model by more than ``IMPORT_TOL``, are rejected (dropped); the
+    number of rejections lands in the metadata so silent corruption
+    stays visible.
     A record within ``ENERGY_TOL`` of the model keeps its stored energy,
     so a sampler's own output reads back unchanged to the last digit;
     any other accepted record takes the model's energy.
@@ -458,7 +453,7 @@ def read_sample_set(path, model: QuboModel | None = None, tol: float = IMPORT_TO
         bits = tuple(int(ch) for ch in bitstring)
         if model is not None:
             actual = model.energy(bits)
-            if not abs(actual - energy) <= tol:  # NaN fails too
+            if not abs(actual - energy) <= IMPORT_TOL:  # NaN fails too
                 rejected += 1
                 continue
             if not abs(actual - energy) <= ENERGY_TOL:

@@ -97,6 +97,19 @@ def two_city_plain() -> Case:
     return Case("two_city_plain", inst, 2.0)
 
 
+def no_free_variables() -> Case:
+    """T = 2 with both interval-2 slots forbidden: only the pinned start
+    is left, so the model has no free variable and city 2 goes unvisited."""
+    inst = _instance(
+        "TS_VRP", 2, 2,
+        [Vehicle(id=1, start_city=1)],
+        _costs(2, 2, {(2, 1): 5.0, (1, 2): 7.0}),
+        _durations(2, 2),
+        windows=[(1, 2, 1), (1, 2, 2)],
+    )
+    return Case("no_free_variables", inst, 2.0)
+
+
 def three_city_dense() -> Case:
     inst = _instance(
         "TS_VRP", 3, 3,

@@ -10,11 +10,13 @@ from tsvrp.instance import instance_to_document
 
 from cases import (
     mcsvrp_two_city,
+    no_free_variables,
     svrp_three_city,
     three_city_dense,
     three_city_window_order,
     two_city_plain,
 )
+from test_instance import minimal_document
 
 
 @pytest.fixture
@@ -123,6 +125,41 @@ def test_solve_infeasible_instance_exits_one(tmp_path):
         ["solve", "--instance", str(path), "--lambda", "1.0", "--out", str(tmp_path / "r")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("sampler", ["exhaustive", "sa"])
+def test_solve_without_free_variables_exits_one(tmp_path, capsys, sampler):
+    path = tmp_path / "pinned.json"
+    path.write_text(serialize_instance(no_free_variables().instance))
+    code = main(
+        ["solve", "--instance", str(path), "--sampler", sampler, "--out", str(tmp_path / "r")]
+    )
+    assert code == 1
+    assert "free variables: 0" in capsys.readouterr().out
+    stats_doc = json.loads((tmp_path / "r.stats.json").read_text())
+    assert stats_doc["feasible_count"] == 0
+
+
+def test_build_prints_warnings_before_the_summary(tmp_path, capsys):
+    path = tmp_path / "closed.json"
+    doc = minimal_document(windows=[{"vehicle": 1, "tau": tau, "city": 2} for tau in (1, 2)])
+    path.write_text(json.dumps(doc))
+    code = main(["build", "--instance", str(path), "--out", str(tmp_path / "m.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "[warning] city-unvisitable: city 2 is unvisitable: every interval is window-forbidden"
+    assert lines[1].startswith("total qubits: ")
+
+
+def test_build_refuses_an_unreachable_end_city(tmp_path, capsys):
+    # 25 minutes on a 20-minute grid take two intervals: 1 + 2 > T = 2.
+    doc = minimal_document()
+    doc["vehicles"] = [{"start": 1, "end": 2, "q": [], "Q": []}]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    code = main(["build", "--instance", str(path), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "cannot reach its end city" in capsys.readouterr().err
 
 
 def test_oracle_and_check_round_trip(three_city_path, tmp_path, capsys):

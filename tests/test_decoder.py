@@ -523,7 +523,7 @@ def test_hard_violations_match_penalty_contributions(factory):
             key
             for key, fixed_value in model.catalogue.fixed.items()
             if fixed_value == 1
-        } | {model.catalogue.key_of(i) for i in range(n) if bits[i]}
+        } | {model.catalogue.free_keys[i] for i in range(n) if bits[i]}
         pure = sum(
             c for (ka, kb), c in reward.items() if ka in chosen and kb in chosen
         )

@@ -148,11 +148,11 @@ def test_discretize_bracket_property(raw, unit):
 def test_apply_priority_scales_targeted_arrivals():
     costs = CostSeries(np.array([[[0.0, 5.0, 6.0], [7.0, 0.0, 8.0], [10.0, 9.0, 0.0]]]))
     scaled = apply_priority(costs, 0.5, {3})
-    assert scaled.cost(1, 3, 2) == pytest.approx(4.5)
-    assert scaled.cost(1, 3, 1) == pytest.approx(5.0)
-    assert scaled.cost(1, 2, 3) == pytest.approx(8.0)
+    assert scaled.values[0, 2, 1] == pytest.approx(4.5)
+    assert scaled.values[0, 2, 0] == pytest.approx(5.0)
+    assert scaled.values[0, 1, 2] == pytest.approx(8.0)
     # original untouched
-    assert costs.cost(1, 3, 2) == pytest.approx(9.0)
+    assert costs.values[0, 2, 1] == pytest.approx(9.0)
 
 
 def test_apply_priority_empty_target_is_identity():
@@ -216,6 +216,33 @@ def test_validate_warns_on_capacity_unreachable_city():
     inst = parse_instance(json.dumps(doc))
     issues = validate_instance(inst)
     assert any(i.code == "capacity-unreachable" for i in issues)
+
+
+def _three_city_capacitated(into_third: int):
+    """Load fixed at 0; a leg into city 3 changes it by ``into_third``, any other by 0."""
+    doc = minimal_document(model_kind="TS_MCVRP", capacity_dims=1)
+    doc["cities"] = ["a", "b", "c"]
+    doc["vehicles"] = [{"start": 1, "q": [0], "Q": [0]}]
+    doc["costs"] = [[[0.0 if a == b else 5.0 for b in range(3)] for a in range(3)]]
+    doc["raw_minutes"] = [[[0.0 if a == b else 15.0 for b in range(3)] for a in range(3)]]
+    doc["variations"] = [[[[into_third if a == 2 else 0] for _ in range(3)] for a in range(3)]]
+    return parse_instance(json.dumps(doc))
+
+
+def test_validate_capacity_warns_once_per_unreachable_city():
+    assert validate_instance(_three_city_capacitated(0)) == []
+    issues = validate_instance(_three_city_capacitated(-1))
+    assert [(i.severity, i.code, i.message) for i in issues] == [
+        ("warning", "capacity-unreachable", "vehicle 1: city 3 unreachable under capacity bounds")
+    ]
+
+
+def test_validate_warns_on_end_city_inside_windows():
+    doc = minimal_document(windows=[{"vehicle": 1, "tau": tau, "city": 2} for tau in (1, 2)])
+    doc["vehicles"] = [{"start": 1, "end": 2, "q": [], "Q": []}]
+    issues = validate_instance(parse_instance(json.dumps(doc)))
+    assert [i.code for i in issues] == ["end-window", "city-unvisitable"]
+    assert issues[0].message == "vehicle 1: end city 2 lies entirely inside forbidden windows"
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from tsvrp import (
     WindowSet,
     build_catalogue,
 )
-from tsvrp.qubo import ising_energy, read_model_document, write_model
+from tsvrp.qubo import ising_energy, write_model
 
 from cases import mcsvrp_two_city, three_city_dense, two_city_plain
 from strategies import random_instance
@@ -133,11 +134,11 @@ def test_catalogue_bijection(seed):
     inst = random_instance(seed)
     cat = build_catalogue(inst)
     for idx in range(cat.n_free):
-        assert cat.index_of(cat.key_of(idx)) == idx
+        assert cat.index_of(cat.free_keys[idx]) == idx
     for key in cat.free_keys:
-        assert cat.key_of(cat.index_of(key)) == key
+        assert cat.free_keys[cat.index_of(key)] == key
     assert set(cat.free_keys).isdisjoint(cat.fixed)
-    assert cat.n_total == len(list(cat.all_keys()))
+    assert cat.n_total == len(cat.keys)
 
 
 def _with_window(inst, triple):
@@ -280,16 +281,16 @@ def test_fixed_elimination_matches_substitution(seed):
     cat_fixed = synthetic_catalogue(total - len(fixed_positions), fixed=fixed_positions)
     model_full = QuboModel(cat_full)
     model_fixed = QuboModel(cat_fixed)
-    all_keys = cat_full.free_keys
+    free_keys = cat_full.free_keys
     for _ in range(int(rng.integers(1, 16))):
         i, j = rng.integers(0, total, 2)
         coeff = float(rng.normal())
         if i == j:
-            model_full.add_linear(all_keys[int(i)], coeff)
-            model_fixed.add_linear(all_keys[int(i)], coeff)
+            model_full.add_linear(free_keys[int(i)], coeff)
+            model_fixed.add_linear(free_keys[int(i)], coeff)
         else:
-            model_full.add_quadratic(all_keys[int(i)], all_keys[int(j)], coeff)
-            model_fixed.add_quadratic(all_keys[int(i)], all_keys[int(j)], coeff)
+            model_full.add_quadratic(free_keys[int(i)], free_keys[int(j)], coeff)
+            model_fixed.add_quadratic(free_keys[int(i)], free_keys[int(j)], coeff)
     model_full.finalize()
     model_fixed.finalize()
 
@@ -372,7 +373,8 @@ def test_model_export_round_trip(tmp_path):
     model = build_model(case.instance, params)
     path = tmp_path / "model.json"
     write_model(model, path)
-    doc = read_model_document(path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
     assert doc["n_vars"] == model.n_vars
     assert doc["model_ref"] == model.fingerprint()
     linear = {i: c for i, c in doc["linear"]}

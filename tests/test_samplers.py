@@ -16,7 +16,7 @@ from tsvrp import (
 from tsvrp.samplers import read_sample_set, write_sample_set
 import tsvrp.samplers as samplers_module
 
-from cases import load_cases, mc_delivery_run, three_city_dense
+from cases import load_cases, mc_delivery_run, no_free_variables, three_city_dense
 from test_qubo import synthetic_catalogue
 
 
@@ -54,8 +54,8 @@ def test_exhaustive_cap():
 def test_sa_finds_single_variable_optimum():
     schedule = AnnealSchedule(sweeps=10, restarts=2, seed=1)
     result = simulated_anneal(single_variable_model(), schedule)
-    assert result.best.bits == (1,)
-    assert result.best.energy == pytest.approx(-1.0)
+    assert result.records[0].bits == (1,)
+    assert result.records[0].energy == pytest.approx(-1.0)
 
 
 def test_sa_is_deterministic():
@@ -93,14 +93,31 @@ def test_sa_trajectory_is_non_increasing_per_chain():
         assert all(later <= earlier + 1e-12 for earlier, later in zip(chain, chain[1:]))
 
 
+def test_samplers_on_a_model_without_free_variables():
+    case = no_free_variables()
+    model = build_model(case.instance, standard_parameters(case.instance.costs, case.lam))
+    assert model.n_vars == 0
+    constant = model.constant
+    schedule = AnnealSchedule(sweeps=7, restarts=3, seed=1)
+    tracked = simulated_anneal(model, schedule, track_chains=True)
+    assert tracked.to_document()["records"] == [["", constant, 3]]
+    assert tracked.metadata["best_energy_per_sweep"] == [constant] * 8
+    assert tracked.metadata["chain_best_per_sweep"] == [[constant] * 8] * 3
+    untracked = simulated_anneal(model, schedule)
+    assert untracked.to_document()["records"] == [["", constant, 3]]
+    assert untracked.metadata["best_energy_per_sweep"] == [constant] * 8
+    assert "chain_best_per_sweep" not in untracked.metadata
+    assert exhaustive_solve(model).to_document()["records"] == [["", constant, 1]]
+
+
 def test_sa_never_beats_exhaustive():
     for factory in (three_city_dense, mc_delivery_run):
         case = factory()
         params = standard_parameters(case.instance.costs, case.lam)
         model = build_model(case.instance, params)
-        floor = exhaustive_solve(model).best.energy
+        floor = exhaustive_solve(model).records[0].energy
         result = simulated_anneal(model, AnnealSchedule(sweeps=100, restarts=10, seed=3))
-        assert result.best.energy >= floor - 1e-9
+        assert result.records[0].energy >= floor - 1e-9
 
 
 def twenty_variable_model():
@@ -135,7 +152,7 @@ def test_sa_matches_exhaustive_on_twenty_variables():
     # minima reproduces every run's best exactly.
     model = twenty_variable_model()
     assert model.n_vars == 20
-    floor = exhaustive_solve(model).best.energy
+    floor = exhaustive_solve(model).records[0].energy
     schedule = AnnealSchedule(sweeps=2000, restarts=109, seed=0)
     result = simulated_anneal(model, schedule, track_chains=True)
     chain_best = [chain[-1] for chain in result.metadata["chain_best_per_sweep"]]
@@ -181,7 +198,7 @@ def test_sampler_contract_exhaustive_and_sa():
     annealed = simulated_anneal(model, AnnealSchedule(sweeps=200, restarts=4, seed=0))
     full.verify(model)
     annealed.verify(model)
-    assert annealed.best.energy >= full.best.energy - 1e-9
+    assert annealed.records[0].energy >= full.records[0].energy - 1e-9
 
 
 # -- one enumeration pass against the two-pass version it replaced -----------------
@@ -253,7 +270,7 @@ def test_single_pass_exhaustive_drops_an_early_near_minimum():
     result = exhaustive_solve(model)
     assert sorted(r.bits.index(1) for r in result.records) == [0, 1]
     assert all(sum(r.bits) == 2 and r.bits[16] for r in result.records)
-    assert result.best.energy == pytest.approx(-2.0 - 1e-6, abs=1e-12)
+    assert result.records[0].energy == pytest.approx(-2.0 - 1e-6, abs=1e-12)
     _assert_same_sample_set(model)
 
 
@@ -546,6 +563,17 @@ def test_sharded_anneal_reraises_a_shard_failure(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert not multiprocessing.active_children()
+
+
+def test_sharded_anneal_reports_a_shard_that_exits_without_a_result(monkeypatch):
+    import multiprocessing
+
+    _force_shards(monkeypatch, 2)
+    monkeypatch.setattr(samplers_module, "_shard_child", lambda *args: os._exit(3))
+    with pytest.raises(SamplerError) as info:
+        simulated_anneal(demo_model(), AnnealSchedule(sweeps=5, restarts=6, seed=1))
+    assert str(info.value) == "annealing shard exited with code 3"
     assert not multiprocessing.active_children()
 
 
