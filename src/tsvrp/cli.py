@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -32,8 +33,10 @@ class UsageError(ValueError):
 
 
 def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    return int(raw) if raw else 0
+    raw = os.environ.get(SEED_ENV_VAR) or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        raise UsageError(f"${SEED_ENV_VAR} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -99,10 +102,10 @@ def _load_instance(args) -> Instance:
 
 
 def _parameters(inst: Instance, args) -> hamiltonians.PenaltyParameters:
-    if args.lam <= 0:
-        raise UsageError(f"--lambda must be positive, got {args.lam}")
-    if args.delta < 0:
-        raise UsageError(f"--delta must be non-negative, got {args.delta}")
+    if not 0 < args.lam < math.inf:
+        raise UsageError(f"--lambda must be positive and finite, got {args.lam}")
+    if not 0 <= args.delta < math.inf:
+        raise UsageError(f"--delta must be non-negative and finite, got {args.delta}")
     return hamiltonians.standard_parameters(inst.costs, args.lam, delta=args.delta)
 
 
@@ -164,6 +167,8 @@ def cmd_solve(args) -> int:
     params = _parameters(inst, args)
     model = hamiltonians.build_model(inst, params)
     seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {seed}")
     if args.sampler == "sa":
         schedule = samplers.AnnealSchedule(
             sweeps=args.sweeps,

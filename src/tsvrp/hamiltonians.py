@@ -17,7 +17,8 @@ All costs enter the model before any penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -58,12 +59,15 @@ class PenaltyParameters:
     uniform_cost: bool = False
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise BuildError(f"lam must be positive, got {self.lam}")
-        if self.rho <= 0:
-            raise BuildError(f"rho must be positive, got {self.rho}")
-        if self.delta < 0:
-            raise BuildError(f"delta must be non-negative, got {self.delta}")
+        # Written so that NaN fails each test.
+        if not 0 < self.lam < math.inf:
+            raise BuildError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 <= self.delta < math.inf:
+            raise BuildError(f"delta must be non-negative and finite, got {self.delta}")
+        if not 0 < self.rho < math.inf:
+            raise BuildError(f"rho must be positive and finite, got {self.rho}")
+        if not math.isfinite(self.mu):
+            raise BuildError(f"mu must be finite, got {self.mu}")
 
     def cost_coefficient(self, d):
         """Coefficient of a move of cost ``d``, a number or an array of costs."""
@@ -79,15 +83,12 @@ def standard_parameters(costs: CostSeries, lam: float, delta: float = 0.0) -> Pe
     penalty scale.  A flat cost matrix has no range to stretch, so it
     falls back to the uniform ``-lam`` pricing.
     """
-    if lam <= 0:
-        raise BuildError(f"lam must be positive, got {lam}")
-    if delta < 0:
-        raise BuildError(f"delta must be non-negative, got {delta}")
     lo, mu = costs.min_max()
-    span = mu - lo
-    if span == 0.0:
-        return PenaltyParameters(lam=lam, mu=mu, rho=lam, delta=delta, uniform_cost=True)
-    return PenaltyParameters(lam=lam, mu=mu, rho=span / (lam + delta), delta=delta)
+    # The flat pricing comes first, so lam and delta are checked before they divide.
+    flat = PenaltyParameters(lam=lam, mu=mu, rho=lam, delta=delta, uniform_cost=True)
+    if mu == lo:
+        return flat
+    return replace(flat, rho=(mu - lo) / (lam + delta), uniform_cost=False)
 
 
 def _window(start: np.ndarray, length: np.ndarray, horizon: int) -> np.ndarray:

@@ -38,8 +38,7 @@ STATES_TWO = (ARRIVAL, DEPARTURE)
 FIXED_ZERO = -1
 FIXED_ONE = -2
 
-# Dense helper matrices are materialized for evaluation; this guards
-# against accidentally building them for models far beyond sampler scale.
+# Refuses the dense copy of batch evaluation for models far beyond exhaustive scale.
 _DENSE_LIMIT = 8192
 
 
@@ -223,7 +222,6 @@ class QuboModel:
         self.blocks: list[tuple[str | None, np.ndarray, np.ndarray | None, np.ndarray]] = []
         self.params = params
         self.frozen = False
-        self._dense: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction ----------------------------------------------------
     def _check_open(self) -> None:
@@ -336,19 +334,17 @@ class QuboModel:
         )
 
     def dense_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Linear vector and symmetric coupling matrix for batch evaluation."""
-        if self._dense is None:
-            self._check_final()
-            n = self.n_vars
-            if n > _DENSE_LIMIT:
-                raise BuildError(f"model too large for dense evaluation ({n} variables)")
-            lin = np.zeros(n)
-            lin[self.lin_index] = self.lin_coeff
-            w = np.zeros((n, n))
-            w[self.q_i, self.q_j] = self.q_c
-            w[self.q_j, self.q_i] = self.q_c
-            self._dense = (lin, w)
-        return self._dense
+        """Linear vector and symmetric coupling matrix, built on each call."""
+        self._check_final()
+        n = self.n_vars
+        if n > _DENSE_LIMIT:
+            raise BuildError(f"model too large for dense evaluation ({n} variables)")
+        lin = np.zeros(n)
+        lin[self.lin_index] = self.lin_coeff
+        w = np.zeros((n, n))
+        w[self.q_i, self.q_j] = self.q_c
+        w[self.q_j, self.q_i] = self.q_c
+        return lin, w
 
     def energies(self, bits: np.ndarray) -> np.ndarray:
         """Energies of a batch of assignments, one row per bitstring."""

@@ -1,8 +1,8 @@
 """Samplers: exhaustive ground-truth enumeration and simulated annealing.
 
-Both backends return a :class:`SampleSet` whose energies are re-derived
-from the model, so a disagreement between a sampler's bookkeeping and
-the model itself cannot go unnoticed.
+Both backends return a :class:`SampleSet` whose every energy is the
+model's own ``QuboModel.energy`` of the record's bits, so no sampler's
+bookkeeping reaches a stored energy.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,12 +71,9 @@ class SampleSet:
         }
 
 
-def _merge_records(bits_list: Sequence[tuple[int, ...]], energies: Sequence[float]) -> tuple[SampleRecord, ...]:
-    counts: dict[tuple[int, ...], tuple[float, int]] = {}
-    for bits, energy in zip(bits_list, energies):
-        old = counts.get(bits)
-        counts[bits] = (energy, old[1] + 1 if old else 1)
-    return tuple(SampleRecord(bits, e, m) for bits, (e, m) in counts.items())
+def _records(model: QuboModel, rows, multiplicities) -> tuple[SampleRecord, ...]:
+    """One record per distinct bit row, with the model's own energy."""
+    return tuple(SampleRecord(b, model.energy(b), m) for b, m in zip(map(tuple, rows), multiplicities))
 
 
 @dataclass(frozen=True)
@@ -99,6 +97,8 @@ class AnnealSchedule:
             raise SamplerError(f"sweeps must be >= 1, got {self.sweeps}")
         if self.restarts < 1:
             raise SamplerError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise SamplerError(f"seed must be non-negative, got {self.seed}")
         for name, beta in (("beta_start", self.beta_start), ("beta_end", self.beta_end)):
             if beta is not None and not 0 < beta < math.inf:
                 raise SamplerError(f"{name} must be positive and finite, got {beta}")
@@ -134,6 +134,7 @@ def _check_betas(beta_start: float, beta_end: float) -> None:
 def exhaustive_solve(model: QuboModel, cap: int = 25) -> SampleSet:
     """Enumerate every assignment; return all minimum-energy bitstrings.
 
+    Batch energies pick the minima; each record holds ``model.energy``.
     The metadata carries a histogram of the lowest energy levels plus the
     enumeration size.  Intended as the ground-truth oracle for small
     models; refuses anything above ``cap`` free variables.
@@ -147,8 +148,7 @@ def exhaustive_solve(model: QuboModel, cap: int = 25) -> SampleSet:
 
     best = np.inf
     histogram: dict[float, int] = {}
-    kept_vals: list[np.ndarray] = []
-    kept_energies: list[np.ndarray] = []
+    kept_vals, kept_energies = [], []
     for base in range(0, total, chunk):
         vals = np.arange(base, min(base + chunk, total), dtype=np.uint64)
         energies = model.energies(((vals[:, None] >> shifts) & 1).astype(float))
@@ -162,20 +162,16 @@ def exhaustive_solve(model: QuboModel, cap: int = 25) -> SampleSet:
         kept_energies.append(energies[hit])
 
     vals, energies = np.concatenate(kept_vals), np.concatenate(kept_energies)
-    hit = energies <= best + ENERGY_TOL
-    minima_bits = [tuple(int(x) for x in row) for row in (vals[hit, None] >> shifts) & 1]
-    minima_energy = energies[hit].tolist()
-
-    levels = sorted(histogram.items())[:64]
-    records = _merge_records(minima_bits, minima_energy)
+    minima = (vals[energies <= best + ENERGY_TOL, None] >> shifts) & 1
+    records = _records(model, minima.tolist(), repeat(1))
     return SampleSet(
         records=records,
         metadata={
             "sampler": "exhaustive",
             "model_ref": model.fingerprint(),
             "n_enumerated": total,
-            "min_energy": best,
-            "energy_histogram": [[e, c] for e, c in levels],
+            "min_energy": min(r.energy for r in records),
+            "energy_histogram": [[e, c] for e, c in sorted(histogram.items())[:64]],
         },
     )
 
@@ -192,7 +188,7 @@ def simulated_anneal(
     vectorized lockstep, in groups and across processes, which changes
     nothing observable because they never interact.  Each chain reports
     its best-ever state; identical states merge into one record with a
-    multiplicity.
+    multiplicity and the model's ``energy``.
     """
     n = model.n_vars
     b0, b1 = schedule.resolved_betas(model)
@@ -205,15 +201,20 @@ def simulated_anneal(
             metadata["chain_best_per_sweep"] = [per_sweep[:] for _ in range(schedule.restarts)]
         return SampleSet(records=records, metadata=metadata)
 
-    _, coupling = model.dense_arrays()
-    neighbours = tuple((nb, row[nb]) for row in coupling for nb in [np.flatnonzero(row)])
-    job = _AnnealJob(model, schedule.seed, schedule.betas(model), neighbours, track_chains)
+    # Both orientations of every coupling, by row, then column: ascending neighbours.
+    rows, cols = np.concatenate([model.q_i, model.q_j]), np.concatenate([model.q_j, model.q_i])
+    order = np.lexsort((cols, rows))
+    edges = np.cumsum(np.bincount(rows, minlength=n))[:-1]
+    weights = np.concatenate([model.q_c, model.q_c])[order]
+    neighbours = tuple(zip(np.split(cols[order], edges), np.split(weights, edges)))
+    lin = np.zeros(n)
+    lin[model.lin_index] = model.lin_coeff
+    job = _AnnealJob(model, schedule.seed, schedule.betas(model), lin, neighbours, track_chains)
     ranges = _shard_ranges(schedule.restarts)
     parts = _run_sharded(job, ranges) if len(ranges) > 1 else [_anneal_range(job, *ranges[0])]
 
-    stacked = np.concatenate([bits for bits, _ in parts])
-    energies = model.energies(stacked.astype(float))
-    records = _merge_records(list(map(tuple, stacked.tolist())), energies.tolist())
+    distinct, counts = np.unique(np.concatenate([bits for bits, _ in parts]), axis=0, return_counts=True)
+    records = _records(model, distinct.tolist(), counts.tolist())
     if track_chains:
         trajectory = np.concatenate([traj for _, traj in parts], axis=1)
         metadata["best_energy_per_sweep"] = trajectory.min(axis=1).tolist()
@@ -229,6 +230,7 @@ class _AnnealJob(NamedTuple):
     model: QuboModel
     seed: int
     betas: np.ndarray
+    lin: np.ndarray
     # Per variable: its neighbours' indices and couplings.
     neighbours: tuple[tuple[np.ndarray, np.ndarray], ...]
     track: bool
@@ -352,12 +354,11 @@ def _anneal_group(job: _AnnealJob, rngs, block: int):
     to its own from the sweep's end and the rest from the sweep's start,
     because a sweep visits each variable once, in order.
     """
-    lin, _ = job.model.dense_arrays()
-    n, g, sweeps = len(lin), len(rngs), len(job.betas)
+    n, g, sweeps = len(job.lin), len(rngs), len(job.betas)
     spin = np.empty((n, g))
     for c, rng in enumerate(rngs):
         spin[:, c] = rng.integers(0, 2, n)
-    field = np.repeat(lin[:, None], g, axis=1)
+    field = np.repeat(job.lin[:, None], g, axis=1)
     cur = np.full(g, job.model.constant)
     push = np.empty((max(len(nb) for nb, _ in job.neighbours), g))
     for bit, f, (nb, w) in zip(spin, field, job.neighbours):
@@ -427,10 +428,7 @@ def read_sample_set(path, model: QuboModel | None = None) -> SampleSet:
     positive integer multiplicity, or whose stored energy disagrees with
     the model by more than ``IMPORT_TOL``, are rejected (dropped); the
     number of rejections lands in the metadata so silent corruption
-    stays visible.
-    A record within ``ENERGY_TOL`` of the model keeps its stored energy,
-    so a sampler's own output reads back unchanged to the last digit;
-    any other accepted record takes the model's energy.
+    stays visible.  Every accepted record takes the model's energy.
     A malformed document raises ``ValueError`` or ``TypeError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -456,8 +454,7 @@ def read_sample_set(path, model: QuboModel | None = None) -> SampleSet:
             if not abs(actual - energy) <= IMPORT_TOL:  # NaN fails too
                 rejected += 1
                 continue
-            if not abs(actual - energy) <= ENERGY_TOL:
-                energy = actual
+            energy = actual
         records.append(SampleRecord(bits, energy, multiplicity))
     metadata = dict(doc.get("metadata", {}))
     if model is not None:

@@ -47,11 +47,27 @@ def test_build_minimal_summary(minimal_instance_path, tmp_path, capsys):
     assert doc["run_config"]["lambda"] == 1.0
 
 
-def test_build_rejects_nonpositive_lambda(minimal_instance_path, tmp_path):
-    code = main(
-        ["build", "--instance", minimal_instance_path, "--lambda", "0", "--out", str(tmp_path / "m.json")]
-    )
-    assert code == 2
+def test_build_rejects_nonpositive_lambda(minimal_instance_path, tmp_path, capsys):
+    # NaN would pass a plain `<= 0` test, and the coefficient filter would
+    # then drop every term.
+    for lam in ("0", "nan", "inf"):
+        code = main(
+            ["build", "--instance", minimal_instance_path, "--lambda", lam, "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 2
+        assert "--lambda must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_solve_and_stats_reject_non_finite_lambda_or_delta(minimal_instance_path, tmp_path, capsys):
+    assert _solve_sa(minimal_instance_path, tmp_path / "r") == 0
+    for flag, value in (("--lambda", "nan"), ("--lambda", "inf"), ("--delta", "nan"), ("--delta", "inf")):
+        assert _solve_sa(minimal_instance_path, tmp_path / "bad", flag, value) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+        stats = ["stats", "--instance", minimal_instance_path, "--samples", str(tmp_path / "r.samples.json")]
+        assert main([*stats, "--out", str(tmp_path / "bad"), flag, value]) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+    assert not list(tmp_path.glob("bad*"))
 
 
 def test_unknown_flag_is_usage_error(minimal_instance_path, tmp_path):
@@ -326,10 +342,9 @@ def test_stats_on_solver_output(three_city_path, tmp_path):
 
 
 def test_stats_reproduces_the_solve_stats_csv(tmp_path):
-    # The samples' stored energies are BLAS sums; re-deriving them with the
-    # model's sparse sum changed last digits (two rows at
-    # -6.288888888888889 read back as -6.28888888888889 here) and with
-    # them the row order.
+    # Every stored energy is the model's own sum, so re-deriving it on
+    # import keeps each last digit and with them the row order.  Two rows
+    # here are records whose dense batch sum and sparse sum differ.
     from tsvrp.demo import delivery_demo_instance
 
     instance = tmp_path / "demo.json"
@@ -399,6 +414,29 @@ def test_seed_env_var_sets_default(minimal_instance_path, tmp_path, monkeypatch)
     doc = json.loads((tmp_path / "r.samples.json").read_text())
     assert doc["run_config"]["seed"] == 77
     assert doc["metadata"]["seed"] == 77
+
+
+@pytest.mark.parametrize(
+    "flag, env",
+    [(["--seed", "-1"], None), ([], "-5"), ([], "abc")],
+    ids=["negative-flag", "negative-env", "non-integer-env"],
+)
+@pytest.mark.parametrize("sampler", ["sa", "exhaustive"])
+def test_bad_seed_is_usage_error(minimal_instance_path, tmp_path, monkeypatch, capsys, flag, env, sampler):
+    if env is not None:
+        monkeypatch.setenv("TSVRP_SEED", env)
+    code = main(
+        [
+            "solve",
+            "--instance", minimal_instance_path,
+            "--sampler", sampler,
+            "--out", str(tmp_path / "r"),
+            *flag,
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err.lower() and "internal" not in err
 
 
 def test_module_entry_point(minimal_instance_path, tmp_path):

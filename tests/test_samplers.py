@@ -206,7 +206,7 @@ def test_sampler_contract_exhaustive_and_sa():
 
 def _two_pass_exhaustive(model: QuboModel, cap: int = 25):
     """The earlier ``exhaustive_solve``: find the best, then enumerate again for its rows."""
-    from tsvrp.samplers import ENERGY_TOL, SampleSet, _merge_records
+    from tsvrp.samplers import ENERGY_TOL, SampleRecord, SampleSet
 
     n = model.n_vars
     total = 1 << n
@@ -220,21 +220,20 @@ def _two_pass_exhaustive(model: QuboModel, cap: int = 25):
         best = min(best, float(energies.min()))
         for e, count in zip(*np.unique(np.round(energies, 9), return_counts=True)):
             histogram[float(e)] = histogram.get(float(e), 0) + int(count)
-    minima_bits, minima_energy = [], []
+    minima_bits = []
     for base in range(0, total, chunk):
         vals = np.arange(base, min(base + chunk, total), dtype=np.uint64)
         bits = ((vals[:, None] >> shifts) & 1).astype(float)
         energies = model.energies(bits)
         for row in np.nonzero(energies <= best + ENERGY_TOL)[0]:
             minima_bits.append(tuple(int(x) for x in bits[row]))
-            minima_energy.append(float(energies[row]))
     return SampleSet(
-        records=_merge_records(minima_bits, minima_energy),
+        records=tuple(SampleRecord(bits, model.energy(bits), 1) for bits in minima_bits),
         metadata={
             "sampler": "exhaustive",
             "model_ref": model.fingerprint(),
             "n_enumerated": total,
-            "min_energy": best,
+            "min_energy": min(model.energy(bits) for bits in minima_bits),
             "energy_histogram": [[e, c] for e, c in sorted(histogram.items())[:64]],
         },
     )
@@ -299,8 +298,8 @@ def test_external_sample_set_reverification(tmp_path):
 
 
 def test_import_keeps_only_energies_the_model_confirms(tmp_path):
-    # Within ENERGY_TOL the stored energy stands; beyond it, but within the
-    # import tolerance, the model's energy replaces it.
+    # Within the import tolerance a record stays, and the model's energy
+    # replaces the stored one, however close that was.
     import json
 
     model = single_variable_model()
@@ -308,8 +307,11 @@ def test_import_keeps_only_energies_the_model_confirms(tmp_path):
     path.write_text(json.dumps({"records": [["1", -1.0 + 1e-7, 1], ["0", 1e-12, 2]]}))
     loaded = read_sample_set(path, model=model)
     assert loaded.metadata["rejected_records"] == 0
-    assert [(r.bits, r.energy) for r in loaded.records] == [((1,), model.energy((1,))), ((0,), 1e-12)]
-    assert model.energy((1,)) == -1.0
+    assert [(r.bits, r.energy) for r in loaded.records] == [
+        ((1,), model.energy((1,))),
+        ((0,), model.energy((0,))),
+    ]
+    assert model.energy((1,)) == -1.0 and model.energy((0,)) == 0.0
 
 
 def test_sample_set_file_round_trip(tmp_path):
@@ -330,7 +332,9 @@ def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
     steps, and every field of an accepting chain updated on each flip.  Its
     start switches each chain's set bits on in index order, as the kernel's
     does."""
-    from tsvrp.samplers import SampleRecord, SampleSet, _merge_records, _sa_metadata
+    from collections import Counter
+
+    from tsvrp.samplers import SampleRecord, SampleSet, _sa_metadata
 
     n = model.n_vars
     lin, coupling = model.dense_arrays()
@@ -383,8 +387,8 @@ def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
         trajectory.append(np.stack(chunk_traj, axis=0))
 
     stacked = np.vstack(best_bits_all).astype(int)
-    energies = model.energies(stacked.astype(float))
-    records = _merge_records([tuple(map(int, row)) for row in stacked], energies.tolist())
+    counts = Counter(tuple(map(int, row)) for row in stacked)
+    records = tuple(SampleRecord(bits, model.energy(bits), m) for bits, m in counts.items())
     b0, b1 = schedule.resolved_betas(model)
     metadata = _sa_metadata(model, schedule, b0, b1)
     full_trajectory = np.concatenate(trajectory, axis=1)
@@ -499,6 +503,47 @@ def test_start_energies_match_the_model(monkeypatch, shards):
             assert abs(chain[0] - model.energy(tuple(bits.tolist()))) <= ENERGY_TOL
 
 
+def test_every_stored_energy_is_the_model_energy():
+    # A dense batch sum rounds with the batch's shape: on the demo, 7 and
+    # 64 chains of this schedule each gave records whose batch energy
+    # missed `model.energy` in the last digit.
+    models = [build_model(c.instance, standard_parameters(c.instance.costs, c.lam)) for c in load_cases()]
+    for model in models:
+        result = exhaustive_solve(model)
+        assert all(r.energy == model.energy(r.bits) for r in result.records)
+        assert result.metadata["min_energy"] == result.records[0].energy
+    for model in models + [demo_model()]:
+        for restarts in (7, 64):
+            result = simulated_anneal(model, AnnealSchedule(sweeps=30, restarts=restarts, seed=5))
+            assert all(r.energy == model.energy(r.bits) for r in result.records)
+
+
+def test_sa_needs_no_dense_copy(monkeypatch):
+    # The kernel reads the sparse coefficient arrays only, so a dense limit
+    # far below the demo's 84 variables changes nothing.
+    import tsvrp.qubo as qubo_module
+
+    schedule = AnnealSchedule(sweeps=20, restarts=9, seed=3)
+    expected = simulated_anneal(demo_model(), schedule).to_document()
+    monkeypatch.setattr(qubo_module, "_DENSE_LIMIT", 10)
+    model = demo_model()
+    with pytest.raises(qubo_module.BuildError, match="too large"):
+        model.dense_arrays()
+    assert simulated_anneal(model, schedule).to_document() == expected
+
+
+def test_sa_on_a_model_without_linear_terms():
+    # The kernel's linear vector is float64 even when no linear term is left.
+    cat = synthetic_catalogue(3)
+    model = QuboModel(cat)
+    keys = cat.free_keys
+    model.add_quadratic(keys[0], keys[1], -1.0)
+    model.add_quadratic(keys[1], keys[2], 0.5)
+    model.finalize()
+    assert len(model.lin_index) == 0
+    _assert_same_anneal(model, AnnealSchedule(sweeps=5, restarts=3, seed=1))
+
+
 def test_group_plan_stays_within_the_budget(monkeypatch):
     for budget in (50_000, 1_000_000, 16_000_000):
         monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", budget)
@@ -524,7 +569,7 @@ def test_sa_memory_does_not_grow_with_sweeps_times_restarts(monkeypatch):
     _force_shards(monkeypatch, 1)
     model = twenty_variable_model()
     n = model.n_vars
-    simulated_anneal(model, AnnealSchedule(sweeps=1, restarts=1))  # caches the model's dense form
+    simulated_anneal(model, AnnealSchedule(sweeps=1, restarts=1))  # one-off allocations stay unmeasured
     for schedule, avoided in (
         (AnnealSchedule(sweeps=50, restarts=200, seed=2), 8 * 50 * n * 200 / 2),
         (AnnealSchedule(sweeps=1, restarts=5_000, seed=2), samplers_module._GENERATOR_BYTES * 5_000),
