@@ -180,7 +180,6 @@ def cmd_solve(args) -> int:
         sample_set = samplers.simulated_anneal(model, schedule)
     else:
         sample_set = samplers.exhaustive_solve(model)
-    sample_set.verify(model)
     result = decoder.stats(sample_set, model.catalogue, inst, mode=args.mode)
     config = _run_config(args, params, seed)
     samplers.write_sample_set(sample_set, f"{args.out}.samples.json", extra={"run_config": config})

@@ -88,7 +88,12 @@ def standard_parameters(costs: CostSeries, lam: float, delta: float = 0.0) -> Pe
     flat = PenaltyParameters(lam=lam, mu=mu, rho=lam, delta=delta, uniform_cost=True)
     if mu == lo:
         return flat
-    return replace(flat, rho=(mu - lo) / (lam + delta), uniform_cost=False)
+    rho = (mu - lo) / (lam + delta)
+    if not 0 < rho < math.inf:
+        raise BuildError(
+            f"lambda + delta = {lam} + {delta} cannot scale the cost range [{lo}, {mu}] onto [-lambda - delta, 0]"
+        )
+    return replace(flat, rho=rho, uniform_cost=False)
 
 
 def _window(start: np.ndarray, length: np.ndarray, horizon: int) -> np.ndarray:

@@ -34,6 +34,12 @@ _MIN_SHARD_CHAINS = 512
 # What one chain's generator takes, about 1 kB for a PCG64 under numpy 2.
 _GENERATOR_BYTES = 1_024
 
+# The exhaustive scan tabulates this many low variables once, scores
+# about this many states per chunk and keeps this many histogram levels.
+_LOW_BITS = 12
+_CHUNK_STATES = 1 << 16
+_LEVELS = 64
+
 
 class SamplerError(RuntimeError):
     """Uniform wrapper for backend failures."""
@@ -131,34 +137,83 @@ def _check_betas(beta_start: float, beta_end: float) -> None:
         raise SamplerError(f"beta_end / beta_start overflows: {beta_end} / {beta_start}")
 
 
+def _bit_table(width: int) -> np.ndarray:
+    """Every assignment of ``width`` bits as a float row; row ``r`` holds the bits of ``r``."""
+    return ((np.arange(1 << width)[:, None] >> np.arange(width)) & 1).astype(float)
+
+
+def _block_energies(bits: np.ndarray, lin: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Energy of each row of ``bits`` under a linear vector and strictly upper couplings."""
+    return bits @ lin + np.einsum("ij,ij->i", bits @ upper, bits)
+
+
+def _rounding_bound(cut: float) -> float:
+    """An energy above the returned bound rounds to 9 places above ``cut``.
+
+    ``np.round`` is monotone, so one rounded value above ``cut`` past the
+    bound covers every larger energy; the margin grows until it does.
+    """
+    margin = 1e-9
+    while cut + margin < math.inf and np.round(np.nextafter(cut + margin, math.inf), 9) <= cut:
+        margin *= 2
+    return cut + margin
+
+
 def exhaustive_solve(model: QuboModel, cap: int = 25) -> SampleSet:
     """Enumerate every assignment; return all minimum-energy bitstrings.
 
-    Batch energies pick the minima; each record holds ``model.energy``.
-    The metadata carries a histogram of the lowest energy levels plus the
-    enumeration size.  Intended as the ground-truth oracle for small
-    models; refuses anything above ``cap`` free variables.
+    The variables split into a low block of up to ``_LOW_BITS`` and a
+    high block of the rest.  The low block's energies, constant included,
+    are tabulated once; a chunk of high states then scores every state
+    ``(h << k) | l`` as its high energy plus the low energy plus the
+    high-low couplings, in the order of the state's integer value.  The
+    histogram keeps only the ``_LEVELS`` lowest energies rounded to 9
+    places: once that many are known, energies that round above the
+    highest of them are never rounded or counted.
+
+    These energies pick the minima; each record holds ``model.energy``.
+    The metadata carries the histogram plus the enumeration size.
+    Intended as the ground-truth oracle for small models; refuses
+    anything above ``cap`` free variables.
     """
     n = model.n_vars
     if n > cap:
         raise SamplerError(f"exhaustive enumeration capped at {cap} variables, model has {n}")
     total = 1 << n
-    chunk = min(total, 1 << 16)
-    shifts = np.arange(n, dtype=np.uint64)
+    k = min(n, _LOW_BITS)
+    lin = np.zeros(n)
+    lin[model.lin_index] = model.lin_coeff
+    upper = np.zeros((n, n))
+    upper[model.q_i, model.q_j] = model.q_c
+    low_bits = _bit_table(k)
+    low = model.constant + _block_energies(low_bits, lin[:k], upper[:k, :k])
+    high_bits = _bit_table(n - k)
+    high = _block_energies(high_bits, lin[k:], upper[k:, k:])
+    # Each high state's couplings to every low variable.
+    cross = high_bits @ upper[:k, k:].T
+    rows = max(1, _CHUNK_STATES >> k)
+    shifts = np.arange(n)
 
     best = np.inf
-    histogram: dict[float, int] = {}
+    levels, counts = np.empty(0), np.empty(0, dtype=np.int64)
+    bound = math.inf
     kept_vals, kept_energies = [], []
-    for base in range(0, total, chunk):
-        vals = np.arange(base, min(base + chunk, total), dtype=np.uint64)
-        energies = model.energies(((vals[:, None] >> shifts) & 1).astype(float))
+    for h0 in range(0, len(high), rows):
+        energies = (
+            high[h0 : h0 + rows, None] + low[None, :] + cross[h0 : h0 + rows] @ low_bits.T
+        ).ravel()
         best = min(best, float(energies.min()))
-        for e, count in zip(*np.unique(np.round(energies, 9), return_counts=True)):
-            histogram[float(e)] = histogram.get(float(e), 0) + int(count)
+        # A chunk level past its own _LEVELS-th cannot be among the lowest.
+        new, new_counts = np.unique(np.round(energies[energies <= bound], 9), return_counts=True)
+        levels, where = np.unique(np.concatenate([levels, new[:_LEVELS]]), return_inverse=True)
+        counts = np.bincount(where, np.concatenate([counts, new_counts[:_LEVELS]])).astype(np.int64)
+        levels, counts = levels[:_LEVELS], counts[:_LEVELS]
+        if len(levels) == _LEVELS:
+            bound = _rounding_bound(float(levels[-1]))
         # Rows above the running best cannot be minima; the final best
         # filters what is left.
         hit = energies <= best + ENERGY_TOL
-        kept_vals.append(vals[hit])
+        kept_vals.append((h0 << k) + np.flatnonzero(hit))
         kept_energies.append(energies[hit])
 
     vals, energies = np.concatenate(kept_vals), np.concatenate(kept_energies)
@@ -171,7 +226,7 @@ def exhaustive_solve(model: QuboModel, cap: int = 25) -> SampleSet:
             "model_ref": model.fingerprint(),
             "n_enumerated": total,
             "min_energy": min(r.energy for r in records),
-            "energy_histogram": [[e, c] for e, c in sorted(histogram.items())[:64]],
+            "energy_histogram": [[e, c] for e, c in zip(levels.tolist(), counts.tolist())],
         },
     )
 

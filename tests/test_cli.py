@@ -59,6 +59,17 @@ def test_build_rejects_nonpositive_lambda(minimal_instance_path, tmp_path, capsy
     assert not (tmp_path / "m.json").exists()
 
 
+def test_build_blames_lambda_and_delta_when_the_cost_scale_leaves_range(three_city_path, tmp_path, capsys):
+    # lambda + delta overflows to inf (scale 0), or is so small the cost range over it is inf.
+    for flags in (["--lambda", "1e308", "--delta", "1e308"], ["--lambda", "1e-320"]):
+        code = main(["build", "--instance", three_city_path, *flags, "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "lambda + delta" in err
+        assert "rho" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_solve_and_stats_reject_non_finite_lambda_or_delta(minimal_instance_path, tmp_path, capsys):
     assert _solve_sa(minimal_instance_path, tmp_path / "r") == 0
     for flag, value in (("--lambda", "nan"), ("--lambda", "inf"), ("--delta", "nan"), ("--delta", "inf")):

@@ -1,4 +1,5 @@
 import os
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tsvrp.samplers import read_sample_set, write_sample_set
 import tsvrp.samplers as samplers_module
 
 from cases import load_cases, mc_delivery_run, no_free_variables, three_city_dense
+from strategies import random_instance
 from test_qubo import synthetic_catalogue
 
 
@@ -251,11 +253,19 @@ def test_single_pass_exhaustive_matches_two_pass_on_cases():
         _assert_same_sample_set(build_model(case.instance, params))
 
 
+def _chunk_of(state: int) -> int:
+    """The scan chunk of a state: whole high-block rows of about _CHUNK_STATES states."""
+    return state // max(samplers_module._CHUNK_STATES, 1 << samplers_module._LOW_BITS)
+
+
 def test_single_pass_exhaustive_drops_an_early_near_minimum():
-    # 17 variables make two 65,536-row chunks.  The first chunk's best row
-    # (x0 alone, -1) is within tolerance of its running best, but the
-    # minimum (x0 and x16, -2 - 1e-6, tied with x1 and x16) lies in the
-    # second chunk, so the early row must not survive.
+    # 17 variables split into a 12-variable low block and a 5-variable
+    # high block, scanned 16 high states (65,536 states) per chunk: two
+    # chunks, the second holding every state with x16 set.  The first
+    # chunk's best row (x0 alone, -1) is within tolerance of its running
+    # best, but the minimum (x0 and x16, -2 - 1e-6, tied with x1 and
+    # x16) lies in the second chunk, so the early row must not survive.
+    assert _chunk_of(1 << 0) < _chunk_of((1 << 0) | (1 << 16))
     cat = synthetic_catalogue(17)
     model = QuboModel(cat)
     keys = cat.free_keys
@@ -270,6 +280,90 @@ def test_single_pass_exhaustive_drops_an_early_near_minimum():
     assert sorted(r.bits.index(1) for r in result.records) == [0, 1]
     assert all(sum(r.bits) == 2 and r.bits[16] for r in result.records)
     assert result.records[0].energy == pytest.approx(-2.0 - 1e-6, abs=1e-12)
+    _assert_same_sample_set(model)
+
+
+# -- the split-halves scan against the dense two-pass scan ---------------------------
+
+
+def test_split_scan_matches_two_pass_on_criterion_1_instances():
+    # The random corpus of criterion 1, at its seeds and lambdas, up to 20 variables.
+    checked = 0
+    for seed in range(100):
+        inst = random_instance(seed, max_cities=6, max_intervals=6, max_vehicles=2)
+        model = build_model(inst, standard_parameters(inst.costs, 0.5 + (seed % 7) * 0.5))
+        if model.n_vars <= 20:
+            _assert_same_sample_set(model)
+            checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("n", [0, 1, 12, 13, 17, 22])
+def test_split_scan_matches_two_pass_at_shape_edges(n):
+    # 0 and 1: degenerate blocks; 12: the low block alone; 13: one high
+    # bit; 17: several chunks; 22: a ten-bit high block.
+    rng = np.random.default_rng(n)
+    cat = synthetic_catalogue(n)
+    model = QuboModel(cat)
+    keys = cat.free_keys
+    model.add_constant(0.75)
+    for key in keys:
+        model.add_linear(key, round(float(rng.normal()), 2))
+    for i, j in zip(*np.triu_indices(n, 1)):
+        if rng.random() < 0.4:
+            model.add_quadratic(keys[i], keys[j], round(float(rng.normal()), 2))
+    _assert_same_sample_set(model.finalize())
+
+
+def _linear_model(coefficients):
+    cat = synthetic_catalogue(len(coefficients))
+    model = QuboModel(cat)
+    for key, coeff in zip(cat.free_keys, coefficients):
+        if coeff:
+            model.add_linear(key, coeff)
+    return model.finalize()
+
+
+def test_histogram_cut_evicts_the_levels_of_earlier_chunks():
+    # x0..x15 weigh 2^i, so every state of a chunk has its own integer
+    # level; x16 at -2^20 puts all 64 lowest levels in the second chunk,
+    # below every level of the first, whose 64 lowest set the first cut.
+    model = _linear_model([float(1 << i) for i in range(16)] + [-float(1 << 20)])
+    assert _chunk_of(1 << 16) > _chunk_of((1 << 16) - 1) == 0
+    result = exhaustive_solve(model)
+    assert result.metadata["energy_histogram"] == [[float(j - (1 << 20)), 1] for j in range(64)]
+    _assert_same_sample_set(model)
+
+
+def test_rounding_bound_holds_at_large_energies():
+    # Past about 1e8 a float just above cut + 1e-9 can still round to cut,
+    # which would drop states of the cut level from the histogram.
+    cuts = np.round(np.random.default_rng(0).uniform(-1e10, 1e10, 2000), 9)
+    for cut in np.concatenate([cuts, cuts / 100, [0.0, 1e-9, -1e-9, 1e15]]).tolist():
+        bound = samplers_module._rounding_bound(cut)
+        above = bound + np.abs(bound) * np.finfo(float).eps * np.arange(1, 9) + 1e-300
+        assert bound >= cut + 1e-9
+        assert (np.round(above[above > bound], 9) > cut).all()
+
+
+def test_histogram_with_fewer_levels_than_it_keeps():
+    # One level per number of set bits: 18 levels, C(17, j) states each.
+    model = _linear_model([1.0] * 17)
+    result = exhaustive_solve(model)
+    assert result.metadata["energy_histogram"] == [[float(j), comb(17, j)] for j in range(18)]
+    _assert_same_sample_set(model)
+
+
+def test_histogram_sums_a_level_across_chunks():
+    # Only the 12 low variables weigh, 2^i each, so level j holds one
+    # state in each of the 64 high states, 16 per chunk over four chunks.
+    # The first chunk already sets the cut at level 63, which later
+    # chunks must still count.
+    model = _linear_model([float(1 << i) for i in range(12)] + [0.0] * 6)
+    assert _chunk_of((1 << 18) - 1) == 3
+    result = exhaustive_solve(model)
+    assert result.metadata["energy_histogram"] == [[float(j), 64] for j in range(64)]
+    assert len(result.records) == 64
     _assert_same_sample_set(model)
 
 
