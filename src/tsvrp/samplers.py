@@ -239,11 +239,15 @@ def simulated_anneal(
     Chain ``r`` derives all of its randomness from ``seed + r``: first its
     starting bits, then one uniform ``u`` per (sweep, variable) step,
     consumed in that order; a step flips its variable when
-    ``u < exp(-beta * dE)``, so every downhill step flips.  Chains run in
+    ``u < exp(-beta * dE)``, so every downhill step flips.  A sweep visits
+    the colour classes of ``_colour_classes`` in turn, each class's members
+    in ascending order (a chromatic scan); members of a class share no
+    coupling, so a class is visited in one vectorized step.  Chains run in
     vectorized lockstep, in groups and across processes, which changes
     nothing observable because they never interact.  Each chain reports
     its best-ever state; identical states merge into one record with a
-    multiplicity and the model's ``energy``.
+    multiplicity and the model's ``energy``.  ``accepted_per_sweep``
+    counts the accepted flips of each sweep over all chains.
     """
     n = model.n_vars
     b0, b1 = schedule.resolved_betas(model)
@@ -252,6 +256,7 @@ def simulated_anneal(
         records = (SampleRecord((), model.constant, schedule.restarts),)
         per_sweep = [model.constant] * (schedule.sweeps + 1)
         metadata["best_energy_per_sweep"] = per_sweep
+        metadata["accepted_per_sweep"] = [0] * schedule.sweeps
         if track_chains:
             metadata["chain_best_per_sweep"] = [per_sweep[:] for _ in range(schedule.restarts)]
         return SampleSet(records=records, metadata=metadata)
@@ -264,19 +269,70 @@ def simulated_anneal(
     neighbours = tuple(zip(np.split(cols[order], edges), np.split(weights, edges)))
     lin = np.zeros(n)
     lin[model.lin_index] = model.lin_coeff
-    job = _AnnealJob(model, schedule.seed, schedule.betas(model), lin, neighbours, track_chains)
+    visit, classes = _class_steps(_colour_classes(model), neighbours)
+    job = _AnnealJob(model, schedule.seed, schedule.betas(model), lin, neighbours, visit, classes, track_chains)
     ranges = _shard_ranges(schedule.restarts)
     parts = _run_sharded(job, ranges) if len(ranges) > 1 else [_anneal_range(job, *ranges[0])]
 
-    distinct, counts = np.unique(np.concatenate([bits for bits, _ in parts]), axis=0, return_counts=True)
+    distinct, counts = np.unique(np.concatenate([bits for bits, _, _ in parts]), axis=0, return_counts=True)
     records = _records(model, distinct.tolist(), counts.tolist())
     if track_chains:
-        trajectory = np.concatenate([traj for _, traj in parts], axis=1)
+        trajectory = np.concatenate([traj for _, traj, _ in parts], axis=1)
         metadata["best_energy_per_sweep"] = trajectory.min(axis=1).tolist()
         metadata["chain_best_per_sweep"] = trajectory.T.tolist()
     else:
-        metadata["best_energy_per_sweep"] = np.min([traj for _, traj in parts], axis=0).tolist()
+        metadata["best_energy_per_sweep"] = np.min([traj for _, traj, _ in parts], axis=0).tolist()
+    metadata["accepted_per_sweep"] = np.sum([accepted for _, _, accepted in parts], axis=0).tolist()
     return SampleSet(records=records, metadata=metadata)
+
+
+def _colour_classes(model: QuboModel) -> list[np.ndarray]:
+    """Greedy colouring of the coupling graph in index order.
+
+    Each variable takes the lowest colour that none of its lower-indexed
+    neighbours holds.  Returns one class per colour, in colour order,
+    each in ascending index order; no coupling joins two members of a
+    class.
+    """
+    n = model.n_vars
+    by_upper = np.argsort(model.q_j, kind="stable")
+    lower = np.split(model.q_i[by_upper], np.cumsum(np.bincount(model.q_j, minlength=n))[:-1])
+    colours = []
+    for j in range(n):
+        used = {colours[k] for k in lower[j].tolist()}
+        colours.append(next(c for c in range(len(used) + 1) if c not in used))
+    colours = np.array(colours, dtype=np.int64)
+    return [np.flatnonzero(colours == c) for c in range(max(colours, default=-1) + 1)]
+
+
+def _class_steps(classes: list[np.ndarray], neighbours) -> tuple[np.ndarray, tuple]:
+    """The visit order and, per class, its rows and pair updates.
+
+    Row ``p`` of the kernel's state is variable ``visit[p]``, so every
+    class is a contiguous range of rows.  A class's members are paired in
+    order, ``(0, 1), (2, 3), ...`` with a last one alone; a pair's update
+    is its neighbours' rows (ascending) and their couplings to the two
+    members as one ``(rows, 2)`` block.  Every ``delta`` the block meets
+    is -1, 0 or +1, so each product is exact and the block's product is
+    one rounding of ``t0 + t1``, however BLAS groups it.
+    """
+    visit = np.concatenate(classes)
+    position = np.empty(len(visit), dtype=np.int64)
+    position[visit] = np.arange(len(visit))
+    steps, a = [], 0
+    for members in classes:
+        pairs = []
+        for q in range(0, len(members), 2):
+            pair = members[q : q + 2].tolist()
+            rows = np.unique(np.concatenate([position[neighbours[j][0]] for j in pair]))
+            block = np.zeros((len(rows), len(pair)))
+            for k, j in enumerate(pair):
+                nb, w = neighbours[j]
+                block[np.searchsorted(rows, position[nb]), k] = w
+            pairs.append((q, rows, block))
+        steps.append((a, a + len(members), tuple(pairs)))
+        a += len(members)
+    return visit, tuple(steps)
 
 
 class _AnnealJob(NamedTuple):
@@ -288,6 +344,10 @@ class _AnnealJob(NamedTuple):
     lin: np.ndarray
     # Per variable: its neighbours' indices and couplings.
     neighbours: tuple[tuple[np.ndarray, np.ndarray], ...]
+    # The variable of each kernel row, and per class: its rows ``a .. b - 1``
+    # and its pair updates ``(q, rows, block)``; see ``_class_steps``.
+    visit: np.ndarray
+    classes: tuple
     track: bool
 
 
@@ -361,8 +421,11 @@ def _shard_child(job: _AnnealJob, lo: int, hi: int, reader, writer) -> None:
 
 def _chain_bytes(n: int, sweeps: int) -> int:
     """One chain's share of its group's state: its generator, at most
-    eight ``n``-sized rows at once and its best energy per sweep."""
-    return 8 * (8 * n + sweeps + 9) + _GENERATOR_BYTES
+    ten ``n``-sized rows at once (five of state, a class's ``dE``,
+    ``exp``/``delta`` and accept rows, a pair update's output and one
+    passing copy), its best energy and accepted flips per sweep, and a
+    few scalars."""
+    return 8 * (10 * n + 2 * sweeps + 10) + _GENERATOR_BYTES
 
 
 def _group_plan(n: int, sweeps: int, chains: int) -> tuple[int, int]:
@@ -378,36 +441,47 @@ def _group_plan(n: int, sweeps: int, chains: int) -> tuple[int, int]:
     return group, block
 
 
-def _anneal_range(job: _AnnealJob, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chains ``lo .. hi - 1``: best bits as ``uint8`` rows, and the best
+def _anneal_range(job: _AnnealJob, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chains ``lo .. hi - 1``: best bits as ``uint8`` rows, the best
     energy after each sweep, per chain if the job tracks chains, else
-    the minimum over these chains."""
+    the minimum over these chains, and the accepted flips of each sweep
+    summed over these chains."""
     group, block = _group_plan(job.model.n_vars, len(job.betas), hi - lo)
-    bits, trajectories = [], []
+    bits, trajectories, accepted = [], [], 0
     for g0 in range(lo, hi, group):
         seeds = range(job.seed + g0, job.seed + min(g0 + group, hi))
         rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-        best_bits, trajectory = _anneal_group(job, rngs, block)
+        best_bits, trajectory, flips = _anneal_group(job, rngs, block)
         bits.append(best_bits)
         trajectories.append(trajectory if job.track else trajectory.min(axis=1))
+        accepted = accepted + flips
     if job.track:
-        return np.concatenate(bits), np.concatenate(trajectories, axis=1)
-    return np.concatenate(bits), np.min(trajectories, axis=0)
+        return np.concatenate(bits), np.concatenate(trajectories, axis=1), accepted
+    return np.concatenate(bits), np.min(trajectories, axis=0), accepted
 
 
 def _anneal_group(job: _AnnealJob, rngs, block: int):
-    """Anneal one group of chains, held chains-last: row ``j`` of ``spin``
-    (``1 - 2 * bits``) and of ``field`` is variable ``j`` of every chain.
+    """Anneal one group of chains, held chains-last: row ``p`` of ``spin``
+    (``1 - 2 * bits``) and of ``field`` is variable ``job.visit[p]`` of
+    every chain.
 
     Each chain draws its starting bits and switches them on in index
     order, from ``field = lin`` and ``energy = constant``, with the same
     elementwise adds as a flip, so no start depends on the group's shape.
-    A flip of ``j`` moves only the fields of ``j``'s neighbours; rejected
-    chains add ``w * 0``, which changes no field.  The best state is
-    settled once per sweep: the first step that reached the sweep's
-    lowest energy, if that beats the best so far, holds the variables up
-    to its own from the sweep's end and the rest from the sweep's start,
-    because a sweep visits each variable once, in order.
+    A sweep then visits the classes in row order.  One step takes ``dE``
+    for every member of a class, accepts each against the chain's own
+    uniform for that (sweep, variable), flips the accepted members and
+    adds each pair's ``block @ delta`` to the pair's neighbour rows, in
+    pair order: no product of a step reaches a member of its own class,
+    and each sum has two terms, so no field depends on the group's shape.
+    The energy after each member is one ``cumsum`` of the accepted
+    ``dE`` along the class, the chain of adds a member-by-member visit
+    makes.  The best state is settled once per sweep: the first step
+    that reached the sweep's lowest energy, if that beats the best so
+    far, holds the rows up to its own from the sweep's end and the rest
+    from the sweep's start, because a sweep visits each row once, in
+    order.  For the same reason the accepted flips of a sweep are the
+    entries its end state changed.
     """
     n, g, sweeps = len(job.lin), len(rngs), len(job.betas)
     spin = np.empty((n, g))
@@ -415,49 +489,61 @@ def _anneal_group(job: _AnnealJob, rngs, block: int):
         spin[:, c] = rng.integers(0, 2, n)
     field = np.repeat(job.lin[:, None], g, axis=1)
     cur = np.full(g, job.model.constant)
-    push = np.empty((max(len(nb) for nb, _ in job.neighbours), g))
+    # A pair's rows include each member's neighbours.
+    push = np.empty((max(len(r) for *_, pairs in job.classes for _, r, _ in pairs), g))
     for bit, f, (nb, w) in zip(spin, field, job.neighbours):
         np.add(cur, f, out=cur, where=bit > 0)
         field[nb] += np.einsum("i,j->ij", w, bit, out=push[: len(nb)])
+    spin, field = spin[job.visit], field[job.visit]
     spin *= -2.0
     spin += 1.0
     best, best_spin = cur.copy(), spin.copy()
     sweep_start = np.empty_like(spin)
-    energy_log = np.empty((n, g))
+    # Row p + 1 holds the energy after visiting row p, row 0 the sweep's start.
+    energy_log = np.empty((n + 1, g))
+    energy_log[0] = cur
     trajectory = np.empty((sweeps + 1, g))
     trajectory[0] = cur
+    accepted = np.empty(sweeps, dtype=np.int64)
     tape = np.empty((block, n, g))
-    de, x, delta = np.empty(g), np.empty(g), np.empty(g)
-    accept = np.empty(g, dtype=bool)
-    order, chains = np.arange(n)[:, None], np.arange(g)
-    steps = list(zip(spin, field, energy_log, job.neighbours))
+    widest = max(b - a for a, b, _ in job.classes)
+    de, delta = np.empty((widest, g)), np.empty((widest, g))
+    accept = np.empty((widest, g), dtype=bool)
+    order, chains = np.arange(n, dtype=np.int32)[:, None], np.arange(g)
     with np.errstate(over="ignore"):
         for t0 in range(0, sweeps, block):
             width = min(block, sweeps - t0)
             for c, rng in enumerate(rngs):
-                tape[:width, :, c] = rng.random((width, n))
+                np.take(rng.random((width, n)), job.visit, axis=1, out=tape[:width, :, c], mode="clip")
             for t in range(t0, t0 + width):
                 neg_beta = -job.betas[t]
                 np.copyto(sweep_start, spin)
-                for (s, f, logged, (nb, w)), u in zip(steps, tape[t - t0]):
-                    np.multiply(f, s, out=de)
-                    np.multiply(de, neg_beta, out=x)
-                    np.exp(x, out=x)
-                    np.less(u, x, out=accept)
-                    np.multiply(s, accept, out=delta)
-                    moved = field[nb]
-                    moved += np.einsum("i,j->ij", w, delta, out=push[: len(nb)])
-                    field[nb] = moved
-                    np.negative(s, out=s, where=accept)
-                    np.add(cur, de, out=cur, where=accept)
-                    logged[...] = cur
-                first = energy_log.argmin(axis=0)
-                low = energy_log[first, chains]
+                u = tape[t - t0]
+                for a, b, pairs in job.classes:
+                    m = b - a
+                    s = spin[a:b]
+                    d = np.multiply(field[a:b], s, out=de[:m])
+                    e = np.multiply(d, neg_beta, out=delta[:m])
+                    np.exp(e, out=e)
+                    ok = np.less(u[a:b], e, out=accept[:m])
+                    np.multiply(d, ok, out=energy_log[a + 1 : b + 1])
+                    np.cumsum(energy_log[a : b + 1], axis=0, out=energy_log[a : b + 1])
+                    moved = np.multiply(s, ok, out=e)
+                    for q, rows, weights in pairs:
+                        field[rows] += np.matmul(weights, moved[q : q + 2], out=push[: len(rows)])
+                    np.negative(s, out=s, where=ok)
+                first = energy_log[1:].argmin(axis=0)
+                low = energy_log[first + 1, chains]
                 improved = low < best
                 np.copyto(best, low, where=improved)
-                np.copyto(best_spin, np.where(order <= first, spin, sweep_start), where=improved)
+                np.copyto(best_spin, sweep_start, where=improved)
+                np.copyto(best_spin, spin, where=improved & (order <= first))
                 trajectory[t + 1] = best
-    return np.ascontiguousarray((best_spin < 0).T, dtype=np.uint8), trajectory
+                accepted[t] = np.count_nonzero(spin != sweep_start)
+                energy_log[0] = energy_log[n]
+    best_bits = np.empty((g, n), dtype=np.uint8)
+    best_bits[:, job.visit] = (best_spin < 0).T
+    return best_bits, trajectory, accepted
 
 
 def _sa_metadata(model: QuboModel, schedule: AnnealSchedule, b0: float, b1: float) -> dict:

@@ -109,6 +109,8 @@ def test_samplers_on_a_model_without_free_variables():
     assert untracked.to_document()["records"] == [["", constant, 3]]
     assert untracked.metadata["best_energy_per_sweep"] == [constant] * 8
     assert "chain_best_per_sweep" not in untracked.metadata
+    assert tracked.metadata["accepted_per_sweep"] == untracked.metadata["accepted_per_sweep"] == [0] * 7
+    assert samplers_module._colour_classes(model) == []
     assert exhaustive_solve(model).to_document()["records"] == [["", constant, 1]]
 
 
@@ -420,11 +422,24 @@ def test_sample_set_file_round_trip(tmp_path):
 # -- the chains-last kernel against the chunked kernel it replaced ------------------
 
 
+def _reference_colour_classes(coupling):
+    """Greedy colouring in index order from the dense couplings: each
+    variable takes the lowest colour no lower neighbour holds."""
+    colours = []
+    for j in range(len(coupling)):
+        used = {colours[k] for k in np.flatnonzero(coupling[j, :j])}
+        colours.append(min(set(range(len(used) + 1)) - used))
+    return [[j for j in range(len(colours)) if colours[j] == c] for c in range(max(colours, default=-1) + 1)]
+
+
 def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
-    """The earlier ``simulated_anneal``: chains-first state, the whole random
-    tape of a chunk of chains drawn up front, a separate branch for uphill
-    steps, and every field of an accepting chain updated on each flip.  Its
-    start switches each chain's set bits on in index order, as the kernel's
+    """The chromatic scan written out member by member: chains-first state,
+    the whole random tape of a chunk of chains drawn up front, a separate
+    branch for uphill steps, and best-ever tracking after every flip.  A
+    sweep visits the colour classes in order and each class's members in
+    ascending order, in pairs; once both members of a pair are visited,
+    every field takes the pair's ``t0 + t1`` in one add.  Its start
+    switches each chain's set bits on in index order, as the kernel's
     does."""
     from collections import Counter
 
@@ -435,11 +450,14 @@ def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
     betas = schedule.betas(model)
     sweeps, restarts = schedule.sweeps, schedule.restarts
     best_bits_all, trajectory = [], []
+    b0, b1 = schedule.resolved_betas(model)
+    metadata = _sa_metadata(model, schedule, b0, b1)
     if n == 0:
         records = (SampleRecord((), model.constant, restarts),)
-        b0, b1 = schedule.resolved_betas(model)
-        return SampleSet(records=records, metadata=_sa_metadata(model, schedule, b0, b1))
+        return SampleSet(records=records, metadata=metadata)
 
+    pairs = [c[q : q + 2] for c in _reference_colour_classes(coupling) for q in range(0, len(c), 2)]
+    accepted = np.zeros(sweeps, dtype=np.int64)
     chunk = max(1, min(restarts, budget // (sweeps * n * 8)))
     for base in range(0, restarts, chunk):
         size = min(chunk, restarts - base)
@@ -460,22 +478,26 @@ def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
         chunk_traj = [best.copy()]
         for t in range(sweeps):
             beta = betas[t]
-            for j in range(n):
-                de = field_now[:, j] * (1.0 - 2.0 * bits[:, j])
-                accept = de <= 0.0
-                uphill = ~accept
-                if uphill.any():
-                    accept[uphill] = tape[t, j, uphill] < np.exp(-beta * de[uphill])
-                rows = np.nonzero(accept)[0]
-                if rows.size:
-                    sign = 1.0 - 2.0 * bits[rows, j]
-                    bits[rows, j] += sign
-                    field_now[rows] += sign[:, None] * coupling[j]
-                    cur[rows] += de[rows]
-                    improved = rows[cur[rows] < best[rows]]
-                    if improved.size:
-                        best[improved] = cur[improved]
-                        best_bits[improved] = bits[improved]
+            for pair in pairs:
+                delta = np.zeros((size, len(pair)))
+                for k, j in enumerate(pair):
+                    de = field_now[:, j] * (1.0 - 2.0 * bits[:, j])
+                    accept = de <= 0.0
+                    uphill = ~accept
+                    if uphill.any():
+                        accept[uphill] = tape[t, j, uphill] < np.exp(-beta * de[uphill])
+                    rows = np.nonzero(accept)[0]
+                    accepted[t] += rows.size
+                    if rows.size:
+                        delta[rows, k] = 1.0 - 2.0 * bits[rows, j]
+                        bits[rows, j] += delta[rows, k]
+                        cur[rows] += de[rows]
+                        improved = rows[cur[rows] < best[rows]]
+                        if improved.size:
+                            best[improved] = cur[improved]
+                            best_bits[improved] = bits[improved]
+                # The pair's members share no coupling, so neither field moved.
+                field_now += delta @ coupling[pair]
             chunk_traj.append(best.copy())
         best_bits_all.append(best_bits)
         trajectory.append(np.stack(chunk_traj, axis=0))
@@ -483,12 +505,11 @@ def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
     stacked = np.vstack(best_bits_all).astype(int)
     counts = Counter(tuple(map(int, row)) for row in stacked)
     records = tuple(SampleRecord(bits, model.energy(bits), m) for bits, m in counts.items())
-    b0, b1 = schedule.resolved_betas(model)
-    metadata = _sa_metadata(model, schedule, b0, b1)
     full_trajectory = np.concatenate(trajectory, axis=1)
     metadata["best_energy_per_sweep"] = full_trajectory.min(axis=1).tolist()
     if track_chains:
         metadata["chain_best_per_sweep"] = full_trajectory.T.tolist()
+    metadata["accepted_per_sweep"] = accepted.tolist()
     return SampleSet(records=records, metadata=metadata)
 
 
@@ -536,6 +557,8 @@ def _assert_same_anneal(model, schedule):
         actual = simulated_anneal(model, schedule, track_chains=track)
         assert actual.to_document() == expected.to_document()
         assert ("chain_best_per_sweep" in actual.metadata) == track
+        accepted = actual.metadata["accepted_per_sweep"]
+        assert len(accepted) == schedule.sweeps and all(type(k) is int for k in accepted)
         assert not multiprocessing.active_children()
 
 
@@ -574,10 +597,29 @@ def test_kernel_matches_reference_across_shards(monkeypatch, shards, restarts):
 
 @pytest.mark.parametrize("budget", [1, 30_000, 200_000])
 def test_kernel_matches_reference_across_tape_blocks(monkeypatch, budget):
-    # From one chain with one sweep per block up to whole groups.
+    # From one chain with one sweep per block up to whole groups.  On the
+    # fleet model a budget of 1 steps one-chain groups through classes of
+    # five members, where a product over a whole class rounds differently
+    # from the same product over more chains.
     _force_shards(monkeypatch, 2)
     monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", budget)
-    _assert_same_anneal(demo_model(), AnnealSchedule(sweeps=11, restarts=9, seed=3))
+    for model in (demo_model(), planted_fleet_model()):
+        _assert_same_anneal(model, AnnealSchedule(sweeps=11, restarts=9, seed=3))
+
+
+@pytest.mark.parametrize("factory, count, widest", [(demo_model, 16, 9), (planted_fleet_model, 51, 5)])
+def test_colour_classes_are_a_proper_colouring(factory, count, widest):
+    model = factory()
+    classes = samplers_module._colour_classes(model)
+    assert sorted(np.concatenate(classes).tolist()) == list(range(model.n_vars))
+    colour = np.empty(model.n_vars, dtype=int)
+    for c, members in enumerate(classes):
+        assert (np.diff(members) > 0).all()
+        colour[members] = c
+    assert (colour[model.q_i] != colour[model.q_j]).all()
+    assert len(classes) == count and max(map(len, classes)) == widest
+    assert [c.tolist() for c in samplers_module._colour_classes(factory())] == [c.tolist() for c in classes]
+    assert [c.tolist() for c in classes] == _reference_colour_classes(model.dense_arrays()[1])
 
 
 @pytest.mark.parametrize("shards", [1, 2])
