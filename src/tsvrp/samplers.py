@@ -513,6 +513,8 @@ def _anneal_group(job: _AnnealJob, rngs, block: int):
     with np.errstate(over="ignore"):
         for t0 in range(0, sweeps, block):
             width = min(block, sweeps - t0)
+            # Each chain's uniforms in visit order; "clip" (every index is
+            # valid) lets take write into the strided slice without a copy.
             for c, rng in enumerate(rngs):
                 np.take(rng.random((width, n)), job.visit, axis=1, out=tape[:width, :, c], mode="clip")
             for t in range(t0, t0 + width):

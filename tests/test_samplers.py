@@ -419,7 +419,7 @@ def test_sample_set_file_round_trip(tmp_path):
     assert loaded.records == result.records
 
 
-# -- the chains-last kernel against the chunked kernel it replaced ------------------
+# -- the colour-class kernel against a member-by-member reference -----------------
 
 
 def _reference_colour_classes(coupling):
