@@ -51,7 +51,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="penalty weight")
         p.add_argument("--delta", type=float, default=0.0, help="baseline shift")
         p.add_argument("--out", required=True, help="output path or prefix")
-        p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
         p.add_argument(
             "--mode",
             choices=list(decoder.MODES),
@@ -59,6 +58,7 @@ def _parser() -> argparse.ArgumentParser:
             help="feasibility mode for gap legs",
         )
         if sampler:
+            p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
             p.add_argument("--sampler", choices=["exhaustive", "sa"], default="exhaustive")
             p.add_argument("--sweeps", type=int, default=1000)
             p.add_argument("--restarts", type=int, default=32)
@@ -252,7 +252,7 @@ def cmd_stats(args) -> int:
     params = _parameters(inst, args)
     model = hamiltonians.build_model(inst, params)
     try:
-        sample_set = samplers.read_sample_set(args.samples, model=model)
+        sample_set = samplers.read_sample_set(args.samples, model)
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"unreadable sample set: {exc}") from exc
     result = decoder.stats(sample_set, model.catalogue, inst, mode=args.mode)

@@ -195,7 +195,7 @@ def decode(bits: Sequence[int], catalogue: VariableCatalogue) -> RoutePlan:
 
     events: dict[int, list[Event]] = {v.id: [] for v in catalogue.instance.vehicles}
     for key in chosen:
-        events[key.vehicle].append(Event(key.tau, key.city, key.state, key.capacity))
+        events[key.vehicle].append(Event(*key[1:]))
     return RoutePlan(events={i: tuple(evts) for i, evts in events.items()})
 
 
@@ -204,7 +204,7 @@ def encode_plan(plan: RoutePlan, catalogue: VariableCatalogue) -> np.ndarray:
     bits = np.zeros(catalogue.n_free, dtype=int)
     for i, evts in plan.events.items():
         for e in evts:
-            key = VariableKey(i, e.tau, e.city, e.capacity, e.state)
+            key = VariableKey(i, *e)
             slot = catalogue.slot(key)
             if slot == FIXED_ZERO:
                 raise ValueError(f"plan uses a slot fixed to zero: {key}")

@@ -8,10 +8,11 @@ capacity]`` (or over a pair of vehicles' grids), masked to the slots the
 family relates, and goes into the model as one block of code arrays.
 Travel and stay moves carry negatively shifted cost coefficients
 ``(d - mu) / rho`` so that every allowed move is rewarded; every
-forbidden qubit pair carries exactly ``+lam``.  Penalty pairs are
-deduplicated per family with one ``np.unique``, so a pair that a model
-description would generate twice (for instance once directly and once
-with arrival/departure roles toggled) still receives a single ``+lam``.
+forbidden qubit pair carries exactly ``+lam``.  Penalty pairs are stored
+lower code first and deduplicated per family with one ``np.unique``, so
+a pair that a model description would generate twice (for instance once
+directly and once with arrival/departure roles toggled) still receives a
+single ``+lam``.
 All costs enter the model before any penalty.
 """
 
@@ -102,17 +103,6 @@ def _window(start: np.ndarray, length: np.ndarray, horizon: int) -> np.ndarray:
     return (t > start[:, None]) & (t <= (start + length)[:, None])
 
 
-def _key_order(grids: list[np.ndarray]) -> np.ndarray:
-    """Rank of every code in VariableKey order, where capacity precedes state.
-
-    Each penalty pair is stored with its lower key first.
-    """
-    return np.concatenate([
-        g.flat[0] + np.arange(g.size).reshape(g.shape[:2] + g.shape[:1:-1]).swapaxes(2, 3).ravel()
-        for g in grids
-    ])
-
-
 def build_model(
     inst: Instance, params: PenaltyParameters, *, catalogue: VariableCatalogue | None = None
 ) -> QuboModel:
@@ -160,11 +150,10 @@ def build_model(
             ~np.eye(t, dtype=bool)[:, :, None, None, None],
         )
 
-    order, total = _key_order(grids), cat.n_total
+    total = cat.n_total
     for family in PENALTY_FAMILIES:
         a, b = np.concatenate(pairs[family], axis=1)
-        first = order[a] <= order[b]
-        codes = np.unique(np.where(first, a, b) * total + np.where(first, b, a))
+        codes = np.unique(np.minimum(a, b) * total + np.maximum(a, b))
         model.add_block(family, codes // total, codes % total, params.lam)
     return model.finalize()
 
@@ -194,8 +183,8 @@ def _travel_block(inst: Instance, v: Vehicle, g: np.ndarray, caps: np.ndarray, c
         delta = inst.variations.values[tau, a, b]
     target = caps[None] + delta[:, None, :]
     ok = np.all((target >= lo) & (target <= hi), axis=2)
-    stride = np.array([np.prod(hi[m + 1:] - lo[m + 1:] + 1) for m in range(len(lo))], dtype=int)
-    target_index = np.where(ok, ((target - lo) * stride).sum(axis=2), 0)
+    box = tuple(np.moveaxis(target - lo, 2, 0))  # C order is capacity_box's order
+    target_index = np.where(ok, np.ravel_multi_index(box, hi - lo + 1, mode="clip"), 0)
 
     departs = dep[tau, b]  # [leg, capacity]
     arrives = arr[np.where(lands, tau + dur, 0), a]  # [leg, capacity], on landing

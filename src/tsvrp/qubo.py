@@ -3,6 +3,7 @@
 Every logical qubit is a :class:`VariableKey` with an integer *code*: its
 position in one mixed-radix space per catalogue, ordered vehicle, then
 interval, city, state (arrival before departure) and capacity status.
+The key's fields come in the same order, so key order is code order.
 Vehicle ``i`` owns the code grid ``g[tau - 1, city - 1, state, capacity]``.
 The catalogue's ``slots`` array maps each code to its free index, or to
 ``FIXED_ZERO`` / ``FIXED_ONE`` for boundary and window fixes; free indices
@@ -50,8 +51,8 @@ class VariableKey(NamedTuple):
     vehicle: int
     tau: int
     city: int
-    capacity: tuple[int, ...]
     state: str
+    capacity: tuple[int, ...]
 
     def conjugated(self) -> "VariableKey":
         """Swap arrival and departure; plain keys are self-conjugate."""
@@ -111,7 +112,7 @@ class VariableCatalogue:
     def keys(self) -> tuple[VariableKey, ...]:
         """Every key, free or fixed, indexed by code."""
         return tuple(
-            VariableKey(v.id, tau, a, c, state)
+            VariableKey(v.id, tau, a, state, c)
             for v in self.instance.vehicles
             for tau in range(1, self.instance.horizon + 1)
             for a in range(1, self.instance.n_cities + 1)

@@ -40,6 +40,9 @@ _LOW_BITS = 12
 _CHUNK_STATES = 1 << 16
 _LEVELS = 64
 
+# The exhaustive scan refuses models with more free variables than this.
+EXHAUSTIVE_CAP = 25
+
 
 class SamplerError(RuntimeError):
     """Uniform wrapper for backend failures."""
@@ -159,7 +162,7 @@ def _rounding_bound(cut: float) -> float:
     return cut + margin
 
 
-def exhaustive_solve(model: QuboModel, cap: int = 25) -> SampleSet:
+def exhaustive_solve(model: QuboModel) -> SampleSet:
     """Enumerate every assignment; return all minimum-energy bitstrings.
 
     The variables split into a low block of up to ``_LOW_BITS`` and a
@@ -174,11 +177,11 @@ def exhaustive_solve(model: QuboModel, cap: int = 25) -> SampleSet:
     These energies pick the minima; each record holds ``model.energy``.
     The metadata carries the histogram plus the enumeration size.
     Intended as the ground-truth oracle for small models; refuses
-    anything above ``cap`` free variables.
+    anything above ``EXHAUSTIVE_CAP`` free variables.
     """
     n = model.n_vars
-    if n > cap:
-        raise SamplerError(f"exhaustive enumeration capped at {cap} variables, model has {n}")
+    if n > EXHAUSTIVE_CAP:
+        raise SamplerError(f"exhaustive enumeration capped at {EXHAUSTIVE_CAP} variables, model has {n}")
     total = 1 << n
     k = min(n, _LOW_BITS)
     lin = np.zeros(n)
@@ -564,7 +567,7 @@ def write_sample_set(sample_set: SampleSet, path, extra: dict | None = None) -> 
     write_json(path, {**sample_set.to_document(), **(extra or {})})
 
 
-def read_sample_set(path, model: QuboModel | None = None) -> SampleSet:
+def read_sample_set(path, model: QuboModel) -> SampleSet:
     """Load a sample-set document, re-verifying energies against a model.
 
     Records that are not a 0/1 string of the model's length with a
@@ -585,21 +588,18 @@ def read_sample_set(path, model: QuboModel | None = None) -> SampleSet:
         if (
             not isinstance(bitstring, str)
             or not set(bitstring) <= {"0", "1"}
-            or (model is not None and len(bitstring) != model.n_vars)
+            or len(bitstring) != model.n_vars
             or type(multiplicity) is not int
             or multiplicity < 1
         ):
             rejected += 1
             continue
         bits = tuple(int(ch) for ch in bitstring)
-        if model is not None:
-            actual = model.energy(bits)
-            if not abs(actual - energy) <= IMPORT_TOL:  # NaN fails too
-                rejected += 1
-                continue
-            energy = actual
-        records.append(SampleRecord(bits, energy, multiplicity))
+        actual = model.energy(bits)
+        if not abs(actual - energy) <= IMPORT_TOL:  # NaN fails too
+            rejected += 1
+            continue
+        records.append(SampleRecord(bits, actual, multiplicity))
     metadata = dict(doc.get("metadata", {}))
-    if model is not None:
-        metadata["rejected_records"] = rejected
+    metadata["rejected_records"] = rejected
     return SampleSet(records=tuple(records), metadata=metadata)

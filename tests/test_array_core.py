@@ -38,11 +38,11 @@ class _RefCatalogue:
         t, n, states, blocks = inst.horizon, inst.n_cities, self.states, self.capacity_blocks
         start_state = DEPARTURE if inst.stateful else PLAIN
         for v in inst.vehicles:
-            start = VariableKey(v.id, 1, v.start_city, tuple(v.start_capacity), start_state)
+            start = VariableKey(v.id, 1, v.start_city, start_state, tuple(v.start_capacity))
             for a in range(1, n + 1):
                 for state in states:
                     for c in blocks[v.id]:
-                        key = VariableKey(v.id, 1, a, c, state)
+                        key = VariableKey(v.id, 1, a, state, c)
                         self.fixed[key] = 1 if key == start else 0
             e = v.end_city
             if e is None:
@@ -53,16 +53,16 @@ class _RefCatalogue:
                         continue
                     for state in states:
                         for c in blocks[v.id]:
-                            self.fixed[VariableKey(v.id, tau, a, c, state)] = 0
+                            self.fixed[VariableKey(v.id, tau, a, state, c)] = 0
                 if inst.stateful:
                     for c in blocks[v.id]:
-                        self.fixed[VariableKey(v.id, tau, e, c, DEPARTURE)] = 0
+                        self.fixed[VariableKey(v.id, tau, e, DEPARTURE, c)] = 0
         for (i, tau, a) in inst.windows.sorted_triples():
             for state in states:
                 for c in blocks[i]:
-                    self.fixed[VariableKey(i, tau, a, c, state)] = 0
+                    self.fixed[VariableKey(i, tau, a, state, c)] = 0
         everything = [
-            VariableKey(v.id, tau, a, c, state)
+            VariableKey(v.id, tau, a, state, c)
             for v in inst.vehicles
             for tau in range(1, t + 1)
             for a in range(1, n + 1)
@@ -159,16 +159,16 @@ class _RefAssembler:
                             for cb in caps:
                                 self.pen(
                                     "state_clash",
-                                    VariableKey(v.id, tau, a, ca, ARRIVAL),
-                                    VariableKey(v.id, tau, a, cb, DEPARTURE),
+                                    VariableKey(v.id, tau, a, ARRIVAL, ca),
+                                    VariableKey(v.id, tau, a, DEPARTURE, cb),
                                 )
                     for state in states:
                         for x in range(len(caps)):
                             for y in range(x + 1, len(caps)):
                                 self.pen(
                                     "capacity_clash",
-                                    VariableKey(v.id, tau, a, caps[x], state),
-                                    VariableKey(v.id, tau, a, caps[y], state),
+                                    VariableKey(v.id, tau, a, state, caps[x]),
+                                    VariableKey(v.id, tau, a, state, caps[y]),
                                 )
                     for b in range(a + 1, n + 1):
                         for sa in states:
@@ -177,8 +177,8 @@ class _RefAssembler:
                                     for cb in caps:
                                         self.pen(
                                             "city_clash",
-                                            VariableKey(v.id, tau, a, ca, sa),
-                                            VariableKey(v.id, tau, b, cb, sb),
+                                            VariableKey(v.id, tau, a, sa, ca),
+                                            VariableKey(v.id, tau, b, sb, cb),
                                         )
             for a in range(1, n + 1):
                 for tau in range(1, t + 1):
@@ -188,8 +188,8 @@ class _RefAssembler:
                                 for cb in caps:
                                     self.pen(
                                         "revisit_clash",
-                                        VariableKey(v.id, tau, a, ca, state),
-                                        VariableKey(v.id, tau2, a, cb, state),
+                                        VariableKey(v.id, tau, a, state, ca),
+                                        VariableKey(v.id, tau2, a, state, cb),
                                     )
         for x in range(len(inst.vehicles)):
             for y in range(x + 1, len(inst.vehicles)):
@@ -207,8 +207,8 @@ class _RefAssembler:
                                         for cb in caps_j:
                                             self.pen(
                                                 family,
-                                                VariableKey(vi.id, tau, a, ca, sa),
-                                                VariableKey(vj.id, tau2, a, cb, sb),
+                                                VariableKey(vi.id, tau, a, sa, ca),
+                                                VariableKey(vj.id, tau2, a, sb, cb),
                                             )
 
 
@@ -232,8 +232,8 @@ def _ref_build_model(inst, params):
                                 for c2 in caps:
                                     asm.pen(
                                         "end_lock",
-                                        VariableKey(v.id, tau + dt, a, c2, PLAIN),
-                                        VariableKey(v.id, tau, lock, c, PLAIN),
+                                        VariableKey(v.id, tau + dt, a, PLAIN, c2),
+                                        VariableKey(v.id, tau, lock, PLAIN, c),
                                     )
                         continue
                     dur = inst.duration(tau, a, b)
@@ -243,12 +243,12 @@ def _ref_build_model(inst, params):
                     for c in caps:
                         target = tuple(x + dx for x, dx in zip(c, delta))
                         ok = all(l <= x <= h for x, l, h in zip(target, lo, hi))
-                        dep = VariableKey(v.id, tau, b, c, departure)
+                        dep = VariableKey(v.id, tau, b, departure, c)
                         if arrive <= t:
                             if ok:
                                 asm.cost(
                                     "travel_cost",
-                                    VariableKey(v.id, arrive, a, target, arrival),
+                                    VariableKey(v.id, arrive, a, arrival, target),
                                     dep,
                                     d,
                                 )
@@ -256,38 +256,38 @@ def _ref_build_model(inst, params):
                                 if ok and c2 == target:
                                     continue
                                 asm.pen(
-                                    "wrong_capacity", VariableKey(v.id, arrive, a, c2, arrival), dep
+                                    "wrong_capacity", VariableKey(v.id, arrive, a, arrival, c2), dep
                                 )
                         for dt in range(1, min(dur - 1, t - tau) + 1):
                             for c2 in caps:
                                 asm.pen(
-                                    "early_arrival", VariableKey(v.id, tau + dt, a, c2, arrival), dep
+                                    "early_arrival", VariableKey(v.id, tau + dt, a, arrival, c2), dep
                                 )
                         if not stateful:
                             continue
                         for dt in range(1, min(dur, t - tau) + 1):
                             for c2 in caps:
                                 asm.pen(
-                                    "transit_block", VariableKey(v.id, tau + dt, a, c2, DEPARTURE), dep
+                                    "transit_block", VariableKey(v.id, tau + dt, a, DEPARTURE, c2), dep
                                 )
             if not stateful:
                 continue
             for a in range(1, n + 1):
                 hold = inst.stay(tau, a)
                 for c in caps:
-                    arr = VariableKey(v.id, tau, a, c, ARRIVAL)
+                    arr = VariableKey(v.id, tau, a, ARRIVAL, c)
                     if tau + hold <= t:
-                        asm.cost("stay_cost", VariableKey(v.id, tau + hold, a, c, DEPARTURE), arr, 0.0)
+                        asm.cost("stay_cost", VariableKey(v.id, tau + hold, a, DEPARTURE, c), arr, 0.0)
                         for c2 in caps:
                             if c2 == c:
                                 continue
                             asm.pen(
-                                "wrong_capacity", VariableKey(v.id, tau + hold, a, c2, DEPARTURE), arr
+                                "wrong_capacity", VariableKey(v.id, tau + hold, a, DEPARTURE, c2), arr
                             )
                     for dt in range(1, min(hold - 1, t - tau) + 1):
                         for c2 in caps:
                             asm.pen(
-                                "early_departure", VariableKey(v.id, tau + dt, a, c2, DEPARTURE), arr
+                                "early_departure", VariableKey(v.id, tau + dt, a, DEPARTURE, c2), arr
                             )
             for b in range(1, n + 1):
                 hold = inst.stay(tau, b)
@@ -299,8 +299,8 @@ def _ref_build_model(inst, params):
                             for c2 in caps:
                                 asm.pen(
                                     "stay_block",
-                                    VariableKey(v.id, tau + dt, a, c2, ARRIVAL),
-                                    VariableKey(v.id, tau, b, c, ARRIVAL),
+                                    VariableKey(v.id, tau + dt, a, ARRIVAL, c2),
+                                    VariableKey(v.id, tau, b, ARRIVAL, c),
                                 )
     asm.exclusions()
     asm.flush_penalties()

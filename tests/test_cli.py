@@ -450,6 +450,20 @@ def test_bad_seed_is_usage_error(minimal_instance_path, tmp_path, monkeypatch, c
     assert err.startswith("error: ") and "seed" in err.lower() and "internal" not in err
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("build", []), ("oracle", []), ("check", ["--plan", "p.json"]), ("stats", ["--samples", "s.json"])],
+)
+def test_seed_is_a_solve_flag(minimal_instance_path, tmp_path, capsys, command, extra):
+    # Only solve samples; elsewhere a seed would be recorded as null and ignored.
+    out = tmp_path / "r.json"
+    argv = [command, "--instance", minimal_instance_path, "--out", str(out), *extra]
+    code = main(argv + ["--seed", "1"])
+    assert code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point(minimal_instance_path, tmp_path):
     import subprocess
     import sys

@@ -64,7 +64,7 @@ def bits_for(catalogue, keys):
 def test_decode_fixed_start_plus_set_bit():
     case = two_city_plain()
     cat = build_catalogue(case.instance)
-    plan = decode(bits_for(cat, [VariableKey(1, 2, 2, (), PLAIN)]), cat)
+    plan = decode(bits_for(cat, [VariableKey(1, 2, 2, PLAIN, ())]), cat)
     assert plan.events[1] == (
         Event(1, 1, PLAIN, ()),
         Event(2, 2, PLAIN, ()),
@@ -81,7 +81,7 @@ def test_decode_all_zero_bits_gives_start_only():
 def test_decode_conflicting_cells_fails():
     case = three_city_dense()
     cat = build_catalogue(case.instance)
-    bits = bits_for(cat, [VariableKey(1, 2, 2, (), PLAIN), VariableKey(1, 2, 3, (), PLAIN)])
+    bits = bits_for(cat, [VariableKey(1, 2, 2, PLAIN, ()), VariableKey(1, 2, 3, PLAIN, ())])
     with pytest.raises(DecodeError) as err:
         decode(bits, cat)
     assert err.value.violations[0].kind == "MULTI_CITY_SAME_TIME"
@@ -463,8 +463,8 @@ def test_stats_decode_failure_counts_as_infeasible():
     model = build_model(case.instance, params)
     cat = model.catalogue
     bits = np.zeros(cat.n_free, dtype=int)
-    bits[cat.index_of(VariableKey(1, 2, 2, (), PLAIN))] = 1
-    bits[cat.index_of(VariableKey(1, 2, 3, (), PLAIN))] = 1
+    bits[cat.index_of(VariableKey(1, 2, 2, PLAIN, ()))] = 1
+    bits[cat.index_of(VariableKey(1, 2, 3, PLAIN, ()))] = 1
     record = SampleRecord(tuple(bits), model.energy(bits), 1)
     report = stats(make_sample_set([record]), cat, case.instance)
     assert report.feasible_rate == pytest.approx(0.0)
@@ -477,7 +477,7 @@ def test_stats_mixed_multiplicities():
     model = build_model(case.instance, params)
     cat = model.catalogue
     good_bits = np.zeros(cat.n_free, dtype=int)
-    good_bits[cat.index_of(VariableKey(1, 2, 2, (), PLAIN))] = 1
+    good_bits[cat.index_of(VariableKey(1, 2, 2, PLAIN, ()))] = 1
     bad_bits = np.zeros(cat.n_free, dtype=int)  # start only: customer unvisited
     good = SampleRecord(tuple(good_bits), model.energy(good_bits), 3)
     bad = SampleRecord(tuple(bad_bits), model.energy(bad_bits), 1)

@@ -93,8 +93,8 @@ def test_minimal_model_hand_expansion():
     params = standard_parameters(inst.costs, 1.0)
     model = build_model(inst, params)
     cat = model.catalogue
-    idx_city1 = cat.index_of(VariableKey(1, 2, 1, (), PLAIN))
-    idx_city2 = cat.index_of(VariableKey(1, 2, 2, (), PLAIN))
+    idx_city1 = cat.index_of(VariableKey(1, 2, 1, PLAIN, ()))
+    idx_city2 = cat.index_of(VariableKey(1, 2, 2, PLAIN, ()))
     assert model.linear == pytest.approx({idx_city2: -1.0, idx_city1: 1.0})
     assert model.quadratic == pytest.approx({(idx_city1, idx_city2): 1.0})
     assert model.constant == pytest.approx(0.0)
@@ -119,7 +119,7 @@ def test_early_arrival_pair_count_for_long_leg():
     inst = plain_instance(5, 3, costs, durations)
     params = standard_parameters(inst.costs, 1.0)
     model = build_model(inst, params)
-    departure = VariableKey(1, 1, 1, (), PLAIN)
+    departure = VariableKey(1, 1, 1, PLAIN, ())
     hits = [
         other
         for r in model.records
@@ -153,11 +153,11 @@ def test_end_city_fixes_unreachable_slots_and_locks_departures():
     model = build_model(inst, params)
     cat = model.catalogue
     # interval 4 allows only the end city; city 2 dies one interval earlier
-    assert cat.fixed[VariableKey(1, 4, 1, (), PLAIN)] == 0
-    assert cat.fixed[VariableKey(1, 4, 2, (), PLAIN)] == 0
-    assert cat.fixed[VariableKey(1, 3, 2, (), PLAIN)] == 0
+    assert cat.fixed[VariableKey(1, 4, 1, PLAIN, ())] == 0
+    assert cat.fixed[VariableKey(1, 4, 2, PLAIN, ())] == 0
+    assert cat.fixed[VariableKey(1, 3, 2, PLAIN, ())] == 0
     # city 1 at interval 3 still reaches the end (3 + 1 <= 4), so it is free
-    assert VariableKey(1, 3, 1, (), PLAIN) not in cat.fixed
+    assert VariableKey(1, 3, 1, PLAIN, ()) not in cat.fixed
     # end replacement pairs exist: sitting at the destination forbids all
     # later activity elsewhere
     locks = [r for r in model.records if r.family == "end_lock"]
@@ -216,15 +216,15 @@ def test_capacity_shift_targets_correct_status():
     costs = [
         r
         for r in model.records
-        if r.family == "travel_cost" and r.key_b == VariableKey(1, 1, 1, (1,), PLAIN)
+        if r.family == "travel_cost" and r.key_b == VariableKey(1, 1, 1, PLAIN, (1,))
     ]
     assert len(costs) == 1
-    assert costs[0].key_a == VariableKey(1, 2, 2, (2,), PLAIN)
+    assert costs[0].key_a == VariableKey(1, 2, 2, PLAIN, (2,))
     wrong = [
         r
         for r in model.records
         if r.family == "wrong_capacity"
-        and VariableKey(1, 1, 1, (1,), PLAIN) in (r.key_a, r.key_b)
+        and VariableKey(1, 1, 1, PLAIN, (1,)) in (r.key_a, r.key_b)
         and {r.key_a.tau, r.key_b.tau} == {1, 2}
     ]
     assert {k.capacity for r in wrong for k in (r.key_a, r.key_b) if k.tau == 2} == {(0,), (1,)}
@@ -234,7 +234,7 @@ def test_out_of_bounds_move_has_no_cost_and_full_penalty():
     inst = capacitated_instance(b_value=-1, start=0)
     params = standard_parameters(inst.costs, 1.0)
     model = build_model(inst, params)
-    departure = VariableKey(1, 1, 1, (0,), PLAIN)
+    departure = VariableKey(1, 1, 1, PLAIN, (0,))
     costs = [
         r for r in model.records if r.family == "travel_cost" and departure in (r.key_a, r.key_b)
     ]

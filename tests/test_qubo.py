@@ -16,7 +16,7 @@ from tsvrp import (
 )
 from tsvrp.qubo import ising_energy, write_model
 
-from cases import mcsvrp_two_city, three_city_dense, two_city_plain
+from cases import load_cases, mcsvrp_two_city, three_city_dense, two_city_plain
 from strategies import random_instance
 
 
@@ -141,6 +141,22 @@ def test_catalogue_bijection(seed):
     assert cat.n_total == len(cat.keys)
 
 
+def test_keys_sort_in_code_order():
+    # Tuple order of VariableKey is code order, which is free-index order.
+    from tsvrp.demo import delivery_demo_instance
+
+    cats = [build_catalogue(case.instance) for case in load_cases()]
+    cats.append(build_catalogue(delivery_demo_instance()))
+    # A capacity-before-state order would differ only where both states and capacities vary.
+    assert any(
+        cat.instance.model_kind == "TS_MCSVRP" and max(map(len, cat.capacity_blocks.values())) >= 2
+        for cat in cats
+    )
+    for cat in cats:
+        assert list(cat.keys) == sorted(cat.keys)
+        assert list(cat.free_keys) == sorted(cat.free_keys)
+
+
 def _with_window(inst, triple):
     return dataclasses.replace(inst, windows=WindowSet(inst.windows.forbidden | {triple}))
 
@@ -233,7 +249,7 @@ def test_unknown_key_raises():
     cat = synthetic_catalogue(1)
     model = QuboModel(cat)
     with pytest.raises(KeyError):
-        model.add_linear(VariableKey(9, 9, 9, (), PLAIN), 1.0)
+        model.add_linear(VariableKey(9, 9, 9, PLAIN, ()), 1.0)
 
 
 def test_energy_examples():

@@ -47,10 +47,11 @@ def test_exhaustive_degenerate_tie():
 
 
 def test_exhaustive_cap():
-    cat = synthetic_catalogue(3)
+    # The refusal comes before any enumeration, so a model past the cap is cheap.
+    cat = synthetic_catalogue(26)
     model = QuboModel(cat).finalize()
-    with pytest.raises(SamplerError, match="capped"):
-        exhaustive_solve(model, cap=2)
+    with pytest.raises(SamplerError, match="capped at 25 variables, model has 26"):
+        exhaustive_solve(model)
 
 
 def test_sa_finds_single_variable_optimum():
