@@ -5,7 +5,8 @@ parameter policy included), and all randomness flows from one seed, so
 identical invocations produce byte-identical artifacts.
 
 Exit codes: 0 success/feasible, 1 infeasible or violations found,
-2 usage error, 3 internal error.
+2 usage error (an input that cannot be read or an output that cannot
+be written included), 3 internal error.
 """
 
 from __future__ import annotations
@@ -94,8 +95,6 @@ def _parser() -> argparse.ArgumentParser:
 def _load_instance(args) -> Instance:
     try:
         inst = read_instance(args.instance)
-    except FileNotFoundError as exc:
-        raise UsageError(f"instance file not found: {exc}") from exc
     except InstanceError as exc:
         raise UsageError(f"invalid instance: {exc}") from exc
     return inst
@@ -227,7 +226,7 @@ def cmd_check(args) -> int:
     inst = _load_instance(args)
     try:
         plan = decoder.read_plan(args.plan, index=args.plan_index)
-    except (OSError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         raise UsageError(f"unreadable plan: {exc}") from exc
     report = decoder.check_feasibility(plan, inst, mode=args.mode)
     config = _run_config(args, None, seed=None)
@@ -253,7 +252,7 @@ def cmd_stats(args) -> int:
     model = hamiltonians.build_model(inst, params)
     try:
         sample_set = samplers.read_sample_set(args.samples, model)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"unreadable sample set: {exc}") from exc
     result = decoder.stats(sample_set, model.catalogue, inst, mode=args.mode)
     config = _run_config(args, params, seed=None)
@@ -281,9 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (
-        UsageError, oracle.SearchCapExceeded, InstanceError, BuildError, samplers.SamplerError
-    ) as exc:
+    except (UsageError, InstanceError, BuildError, samplers.SamplerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - last-resort guard

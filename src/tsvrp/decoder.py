@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .instance import Instance, _integers, _list, _number, _object, _require
+from .instance import Instance, _integers, _list, _number, _object, _require, read_json
 from .qubo import (
     ARRIVAL,
     DEPARTURE,
@@ -689,8 +688,7 @@ def stats(
 
 def read_plan(path, index: int = 0) -> RoutePlan:
     """Read a plan document; an optimal-plans file selects by index."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _object(json.load(fh), "plan document")
+    doc = _object(read_json(path), "plan document")
     if "plans" not in doc:
         return RoutePlan.from_document(doc)
     plans = _list(doc["plans"], "plans")

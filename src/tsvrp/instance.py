@@ -26,6 +26,7 @@ CAPACITATED_KINDS = ("TS_MCVRP", "TS_MCSVRP")
 # Slack absorbs float rounding so exact multiples of the unit land on the
 # lower interval count instead of spilling into the next one.
 _CEIL_SLACK = 1e-9
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class InstanceError(ValueError):
@@ -359,11 +360,18 @@ def validate_instance(inst: Instance) -> list[ValidationIssue]:
     """Warn about windows or capacity data that make part of the problem
     unreachable.  Structural errors never reach this pass: every
     ``Instance`` checks its structure on construction.
+
+    A city other than a vehicle's start is capacity-unreachable when no
+    leg into it keeps any status of the box in bounds.  The box is a
+    product of intervals, so a leg does exactly when each change fits the
+    box's width, ``|variation_m| <= Q_m - q_m`` in every dimension m.
     """
     issues: list[ValidationIssue] = []
-    t, n = inst.horizon, inst.n_cities
+    forbidden = np.zeros((inst.n_vehicles, inst.horizon, inst.n_cities), dtype=bool)
+    cells = np.array(list(inst.windows.forbidden), dtype=int).reshape(-1, 3) - 1
+    forbidden[tuple(cells.T)] = True  # [vehicle-1][tau-1][city-1]
     for v in inst.vehicles:
-        if inst.windows.forbids(v.id, 1, v.start_city):
+        if forbidden[v.id - 1, 0, v.start_city - 1]:
             issues.append(
                 ValidationIssue(
                     "warning",
@@ -372,7 +380,7 @@ def validate_instance(inst: Instance) -> list[ValidationIssue]:
                 )
             )
         if v.end_city is not None:
-            if all(inst.windows.forbids(v.id, tau, v.end_city) for tau in range(1, t + 1)):
+            if forbidden[v.id - 1, :, v.end_city - 1].all():
                 issues.append(
                     ValidationIssue(
                         "warning",
@@ -390,51 +398,27 @@ def validate_instance(inst: Instance) -> list[ValidationIssue]:
                     )
                 )
 
-    for a in range(1, n + 1):
-        if all(
-            inst.windows.forbids(i, tau, a)
-            for i in range(1, inst.n_vehicles + 1)
-            for tau in range(1, t + 1)
-        ):
-            issues.append(
-                ValidationIssue("warning", "city-unvisitable", f"city {a} is unvisitable: every interval is window-forbidden")
-            )
+    for a in np.flatnonzero(forbidden.all(axis=(0, 1))) + 1:
+        issues.append(
+            ValidationIssue("warning", "city-unvisitable", f"city {a} is unvisitable: every interval is window-forbidden")
+        )
 
-    if inst.capacity_dims >= 1:
-        issues.extend(_capacity_reachability_issues(inst))
-    return issues
-
-
-def _capacity_reachability_issues(inst: Instance) -> list[ValidationIssue]:
-    """Warn when no inbound leg of a city admits an in-bounds capacity status."""
-    issues = []
-    for v in inst.vehicles:
-        lo, hi = v.capacity_lower, v.capacity_upper
-        boxes = capacity_box(lo, hi)
-        for a in range(1, inst.n_cities + 1):
-            if a == v.start_city:
-                continue
-            reachable = False
-            for tau in range(1, inst.horizon):
-                for b in range(1, inst.n_cities + 1):
-                    if b == a:
-                        continue
-                    delta = inst.variation(tau, a, b)
-                    for c in boxes:
-                        arrived = tuple(ci + di for ci, di in zip(c, delta))
-                        if all(l <= x <= h for x, l, h in zip(arrived, lo, hi)):
-                            reachable = True
-                            break
-                    if reachable:
-                        break
-                if reachable:
-                    break
-            if not reachable:
+    if inst.variations is not None:
+        # A width past the int64 range holds every change the series can store.
+        width = np.array(
+            [[min(h - l, _INT64_MAX) for l, h in zip(v.capacity_lower, v.capacity_upper)] for v in inst.vehicles]
+        )[:, None, None, None]
+        change = inst.variations.values
+        # fits[vehicle-1][tau-1][to-1][from-1]: the leg's change fits the box
+        fits = np.all((change <= width) & (change >= -width), axis=4)
+        fits &= ~np.eye(inst.n_cities, dtype=bool)
+        for i, a in np.argwhere(~fits.any(axis=(1, 3))) + 1:
+            if a != inst.vehicle(i).start_city:
                 issues.append(
                     ValidationIssue(
                         "warning",
                         "capacity-unreachable",
-                        f"vehicle {v.id}: city {a} unreachable under capacity bounds",
+                        f"vehicle {i}: city {a} unreachable under capacity bounds",
                     )
                 )
     return issues
@@ -648,14 +632,25 @@ def parse_instance(text: str) -> Instance:
     """Parse the canonical JSON instance document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceError(f"malformed document: {exc}") from exc
     return instance_from_document(doc)
 
 
 def read_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    return instance_from_document(read_json(path))
+
+
+def read_json(path):
+    """Read a JSON document.  A file that cannot be opened or decoded, or
+    nests too deeply, raises ``InstanceError`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InstanceError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InstanceError(f"{path} is not a JSON document: {exc}") from exc
 
 
 def write_json(path, doc: dict) -> None:

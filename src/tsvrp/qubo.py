@@ -54,14 +54,6 @@ class VariableKey(NamedTuple):
     state: str
     capacity: tuple[int, ...]
 
-    def conjugated(self) -> "VariableKey":
-        """Swap arrival and departure; plain keys are self-conjugate."""
-        if self.state == ARRIVAL:
-            return self._replace(state=DEPARTURE)
-        if self.state == DEPARTURE:
-            return self._replace(state=ARRIVAL)
-        return self
-
 
 @dataclass(frozen=True, eq=False)
 class VariableCatalogue:

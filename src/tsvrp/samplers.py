@@ -7,7 +7,6 @@ bookkeeping reaches a stored energy.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import os
@@ -18,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instance import write_json
+from .instance import read_json, write_json
 from .qubo import QuboModel
 
 ENERGY_TOL = 1e-9
@@ -577,8 +576,7 @@ def read_sample_set(path, model: QuboModel) -> SampleSet:
     stays visible.  Every accepted record takes the model's energy.
     A malformed document raises ``ValueError`` or ``TypeError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("a sample-set document must be a JSON object")
     records = []

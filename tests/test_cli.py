@@ -91,6 +91,37 @@ def test_missing_instance_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, bad",
+    [
+        ("build", "--instance", "directory"),
+        ("build", "--instance", "non-utf8"),
+        ("build", "--instance", "nested"),
+        ("check", "--plan", "nested"),
+        ("stats", "--samples", "nested"),
+        *[(command, "--out", "missing-dir") for command in ("build", "solve", "oracle", "check", "stats")],
+    ],
+)
+def test_unreadable_input_or_unwritable_output_is_usage_error(
+    minimal_instance_path, tmp_path, capsys, command, flag, bad
+):
+    plans, samples = tmp_path / "plans.json", tmp_path / "run.samples.json"
+    assert main(["oracle", "--instance", minimal_instance_path, "--out", str(plans)]) == 0
+    assert main(["solve", "--instance", minimal_instance_path, "--out", str(tmp_path / "run")]) == 0
+    paths = {"directory": tmp_path, "missing-dir": tmp_path / "missing" / "x.json"}
+    for name, content in (("non-utf8", b'{"index_base": 1\xff}'), ("nested", b"[" * 200_000)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(content)
+    args = {"--instance": minimal_instance_path, "--out": tmp_path / "out"}
+    args.update({"check": {"--plan": plans}, "stats": {"--samples": samples}}.get(command, {}))
+    args[flag] = paths[bad]
+    capsys.readouterr()
+    assert main([command, *(str(x) for pair in args.items() for x in pair)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
+    assert str(paths[bad]) in err
+
+
 def test_solve_exhaustive_minimal(minimal_instance_path, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,8 +7,13 @@ from hypothesis import given, strategies as st
 
 from tsvrp import (
     CostSeries,
+    DurationSeries,
     Instance,
     InstanceError,
+    TimeGrid,
+    VariationSeries,
+    Vehicle,
+    WindowSet,
     apply_priority,
     discretize_durations,
     enumerate_optimal_routes,
@@ -15,9 +21,17 @@ from tsvrp import (
     serialize_instance,
     validate_instance,
 )
-from tsvrp.instance import instance_from_document, instance_to_document
+from tsvrp.demo import delivery_demo_instance
+from tsvrp.instance import (
+    CAPACITATED_KINDS,
+    STATEFUL_KINDS,
+    capacity_box,
+    instance_from_document,
+    instance_to_document,
+)
 
-from strategies import random_instance
+from cases import load_cases
+from strategies import KINDS, random_instance
 
 
 def minimal_document(**overrides):
@@ -79,8 +93,9 @@ def test_parse_rejects_capacity_bound_inversion():
 
 
 def test_parse_rejects_malformed_json():
-    with pytest.raises(InstanceError, match="malformed"):
-        parse_instance("{not json")
+    for text in ("{not json", "[" * 200_000):  # the second nests past the decoder's depth
+        with pytest.raises(InstanceError, match="malformed"):
+            parse_instance(text)
 
 
 def _intervals(raw, unit, horizon=2):
@@ -178,6 +193,10 @@ def test_priority_property(seed):
     assert np.allclose(scaled.values[:, off], expected[:, off])
 
 
+def _issues(inst):
+    return [(i.severity, i.code, i.message) for i in validate_instance(inst)]
+
+
 def test_validate_clean_instance_is_empty():
     inst = parse_instance(json.dumps(minimal_document()))
     assert validate_instance(inst) == []
@@ -185,26 +204,31 @@ def test_validate_clean_instance_is_empty():
 
 def test_validate_warns_on_window_over_start():
     doc = minimal_document(windows=[{"vehicle": 1, "tau": 1, "city": 1}])
-    inst = parse_instance(json.dumps(doc))
-    issues = validate_instance(inst)
-    assert any(i.code == "start-window" for i in issues)
+    assert _issues(parse_instance(json.dumps(doc))) == [
+        ("warning", "start-window", "vehicle 1: start conflicts with window at interval 1")
+    ]
 
 
 def test_validate_warns_on_unvisitable_city():
     doc = minimal_document(
         windows=[{"vehicle": 1, "tau": tau, "city": 2} for tau in (1, 2)]
     )
-    inst = parse_instance(json.dumps(doc))
-    issues = validate_instance(inst)
-    assert any(i.code == "city-unvisitable" for i in issues)
+    assert _issues(parse_instance(json.dumps(doc))) == [
+        ("warning", "city-unvisitable", "city 2 is unvisitable: every interval is window-forbidden")
+    ]
 
 
 def test_validate_warns_on_plain_end_equals_start():
     doc = minimal_document()
     doc["vehicles"] = [{"start": 1, "end": 1, "q": [], "Q": []}]
-    inst = parse_instance(json.dumps(doc))
-    issues = validate_instance(inst)
-    assert any(i.code == "end-equals-start" for i in issues)
+    assert _issues(parse_instance(json.dumps(doc))) == [
+        (
+            "warning",
+            "end-equals-start",
+            "vehicle 1: single-state models cannot revisit the start city, "
+            "so end == start is unsatisfiable",
+        )
+    ]
 
 
 def test_validate_warns_on_capacity_unreachable_city():
@@ -213,36 +237,212 @@ def test_validate_warns_on_capacity_unreachable_city():
     doc = minimal_document(model_kind="TS_MCVRP", capacity_dims=1)
     doc["vehicles"] = [{"start": 1, "q": [0], "Q": [0]}]
     doc["variations"] = [[[[0], [0]], [[-1], [0]]]]
-    inst = parse_instance(json.dumps(doc))
-    issues = validate_instance(inst)
-    assert any(i.code == "capacity-unreachable" for i in issues)
+    assert _issues(parse_instance(json.dumps(doc))) == [
+        ("warning", "capacity-unreachable", "vehicle 1: city 2 unreachable under capacity bounds")
+    ]
 
 
-def _three_city_capacitated(into_third: int):
-    """Load fixed at 0; a leg into city 3 changes it by ``into_third``, any other by 0."""
-    doc = minimal_document(model_kind="TS_MCVRP", capacity_dims=1)
+def _three_city_capacitated(into_third, lower=(0,), upper=(0,)):
+    """A leg into city 3 from city b changes the load by ``into_third[b]``
+    (or by ``into_third`` itself when it is a number), any other leg by 0."""
+    if isinstance(into_third, int):
+        into_third = {1: [into_third], 2: [into_third]}
+    m = len(lower)
+    doc = minimal_document(model_kind="TS_MCVRP", capacity_dims=m)
     doc["cities"] = ["a", "b", "c"]
-    doc["vehicles"] = [{"start": 1, "q": [0], "Q": [0]}]
+    doc["vehicles"] = [{"start": 1, "q": list(lower), "Q": list(upper)}]
     doc["costs"] = [[[0.0 if a == b else 5.0 for b in range(3)] for a in range(3)]]
     doc["raw_minutes"] = [[[0.0 if a == b else 15.0 for b in range(3)] for a in range(3)]]
-    doc["variations"] = [[[[into_third if a == 2 else 0] for _ in range(3)] for a in range(3)]]
+    doc["variations"] = [
+        [[into_third[b + 1] if a == 2 and b != 2 else [0] * m for b in range(3)] for a in range(3)]
+    ]
     return parse_instance(json.dumps(doc))
+
+
+_CITY_3_UNREACHABLE = [
+    ("warning", "capacity-unreachable", "vehicle 1: city 3 unreachable under capacity bounds")
+]
 
 
 def test_validate_capacity_warns_once_per_unreachable_city():
     assert validate_instance(_three_city_capacitated(0)) == []
-    issues = validate_instance(_three_city_capacitated(-1))
-    assert [(i.severity, i.code, i.message) for i in issues] == [
-        ("warning", "capacity-unreachable", "vehicle 1: city 3 unreachable under capacity bounds")
-    ]
+    assert _issues(_three_city_capacitated(-1)) == _CITY_3_UNREACHABLE
+
+
+def test_validate_capacity_needs_one_leg_to_fit_every_dimension():
+    # In the box [0, 1]^2 each leg into city 3 overshoots one dimension:
+    # every dimension has a fitting leg, but no leg fits both.
+    into_third = {1: [2, 0], 2: [0, 2]}
+    inst = _three_city_capacitated(into_third, lower=(0, 0), upper=(1, 1))
+    assert _issues(inst) == _CITY_3_UNREACHABLE
+    assert _issues(inst) == _reference_validate(inst)
+    into_third[2] = [0, 1]
+    assert validate_instance(_three_city_capacitated(into_third, (0, 0), (1, 1))) == []
+
+
+def test_validate_capacity_zero_width_dimension_needs_a_zero_change():
+    # q_2 = Q_2 = 1: the second dimension can never move.
+    into_third = {1: [3, 1], 2: [0, -1]}
+    inst = _three_city_capacitated(into_third, lower=(0, 1), upper=(3, 1))
+    assert _issues(inst) == _CITY_3_UNREACHABLE
+    assert _issues(inst) == _reference_validate(inst)
+    into_third[1] = [3, 0]
+    assert validate_instance(_three_city_capacitated(into_third, (0, 1), (3, 1))) == []
+    into_third[1] = [4, 0]  # the first dimension now overshoots the width 3
+    assert _issues(_three_city_capacitated(into_third, (0, 1), (3, 1))) == _CITY_3_UNREACHABLE
+
+
+@pytest.mark.parametrize("lower, upper", [(0, 10**30), (-(2**62), 2**62)], ids=["past-int64", "width-2^63"])
+def test_validate_capacity_on_boxes_wider_than_int64(lower, upper):
+    # The per-key loops could not enumerate these boxes; a width that
+    # wrapped in int64 would turn negative and fit no change at all.
+    assert validate_instance(_three_city_capacitated(5, (lower,), (upper,))) == []
 
 
 def test_validate_warns_on_end_city_inside_windows():
     doc = minimal_document(windows=[{"vehicle": 1, "tau": tau, "city": 2} for tau in (1, 2)])
     doc["vehicles"] = [{"start": 1, "end": 2, "q": [], "Q": []}]
-    issues = validate_instance(parse_instance(json.dumps(doc)))
-    assert [i.code for i in issues] == ["end-window", "city-unvisitable"]
-    assert issues[0].message == "vehicle 1: end city 2 lies entirely inside forbidden windows"
+    assert _issues(parse_instance(json.dumps(doc))) == [
+        ("warning", "end-window", "vehicle 1: end city 2 lies entirely inside forbidden windows"),
+        ("warning", "city-unvisitable", "city 2 is unvisitable: every interval is window-forbidden"),
+    ]
+
+
+# -- array rules against the per-key loops they replaced -----------------------
+#
+# ``_reference_validate`` is the earlier ``validate_instance``: it asked
+# ``windows.forbids`` key by key and, for capacity, tried every status of
+# the box on every inbound leg of every city.  The array rules must give
+# the same (severity, code, message) list, in the same order.
+
+
+def _reference_validate(inst: Instance) -> list[tuple[str, str, str]]:
+    issues = []
+    t, n = inst.horizon, inst.n_cities
+    for v in inst.vehicles:
+        if inst.windows.forbids(v.id, 1, v.start_city):
+            issues.append(
+                ("warning", "start-window", f"vehicle {v.id}: start conflicts with window at interval 1")
+            )
+        if v.end_city is not None:
+            if all(inst.windows.forbids(v.id, tau, v.end_city) for tau in range(1, t + 1)):
+                issues.append(
+                    (
+                        "warning",
+                        "end-window",
+                        f"vehicle {v.id}: end city {v.end_city} lies entirely inside forbidden windows",
+                    )
+                )
+            if not inst.stateful and v.end_city == v.start_city:
+                issues.append(
+                    (
+                        "warning",
+                        "end-equals-start",
+                        f"vehicle {v.id}: single-state models cannot revisit the start city, "
+                        "so end == start is unsatisfiable",
+                    )
+                )
+    for a in range(1, n + 1):
+        if all(
+            inst.windows.forbids(i, tau, a)
+            for i in range(1, inst.n_vehicles + 1)
+            for tau in range(1, t + 1)
+        ):
+            issues.append(
+                ("warning", "city-unvisitable", f"city {a} is unvisitable: every interval is window-forbidden")
+            )
+    if inst.capacity_dims >= 1:
+        issues.extend(_reference_capacity_issues(inst))
+    return issues
+
+
+def _reference_capacity_issues(inst: Instance) -> list[tuple[str, str, str]]:
+    issues = []
+    for v in inst.vehicles:
+        lo, hi = v.capacity_lower, v.capacity_upper
+        boxes = capacity_box(lo, hi)
+        for a in range(1, inst.n_cities + 1):
+            if a == v.start_city:
+                continue
+            reachable = False
+            for tau in range(1, inst.horizon):
+                for b in range(1, inst.n_cities + 1):
+                    if b == a:
+                        continue
+                    delta = inst.variation(tau, a, b)
+                    for c in boxes:
+                        arrived = tuple(ci + di for ci, di in zip(c, delta))
+                        if all(l <= x <= h for x, l, h in zip(arrived, lo, hi)):
+                            reachable = True
+                            break
+                    if reachable:
+                        break
+                if reachable:
+                    break
+            if not reachable:
+                issues.append(
+                    (
+                        "warning",
+                        "capacity-unreachable",
+                        f"vehicle {v.id}: city {a} unreachable under capacity bounds",
+                    )
+                )
+    return issues
+
+
+def _validation_instance(seed: int) -> Instance:
+    """A small instance with wide variations, narrow or zero-width boxes
+    and windows from empty to nearly full, so every warning code occurs."""
+    rng = np.random.default_rng(seed)
+    kind = KINDS[rng.integers(0, len(KINDS))]
+    stateful, capacitated = kind in STATEFUL_KINDS, kind in CAPACITATED_KINDS
+    n, t, k = (int(x) for x in rng.integers((2, 2, 1), (5, 5, 4)))
+    m = int(rng.integers(1, 4)) if capacitated else 0
+    vehicles = []
+    for i in range(1, k + 1):
+        start = int(rng.integers(1, n + 1))
+        end = int(rng.integers(1, n + 1)) if rng.random() < 0.5 else None
+        lo = rng.integers(-2, 3, m)
+        hi = lo + rng.integers(0, 3, m)
+        vehicles.append(
+            Vehicle(i, start, end, capacity_lower=tuple(map(int, lo)), capacity_upper=tuple(map(int, hi)))
+        )
+    density = rng.choice([0.0, 0.3, 0.7, 0.9, 1.0])
+    cells = np.argwhere(rng.random((k, t, n)) < density) + 1
+    return Instance(
+        grid=TimeGrid(interval_count=t, unit_minutes=10.0),
+        city_labels=tuple(f"c{a}" for a in range(1, n + 1)),
+        vehicles=tuple(vehicles),
+        costs=CostSeries(rng.uniform(1.0, 9.0, size=(t - 1, n, n))),
+        durations=DurationSeries(
+            rng.integers(1, 3, size=(t - 1, n, n)),
+            rng.integers(1, 3, size=(t - 1, n)) if stateful else None,
+        ),
+        variations=VariationSeries(rng.integers(-4, 5, size=(t - 1, n, n, m))) if capacitated else None,
+        windows=WindowSet(frozenset(tuple(map(int, c)) for c in cells)),
+        model_kind=kind,
+        capacity_dims=m,
+    )
+
+
+def test_validate_matches_the_per_key_loops_on_generated_instances():
+    codes = Counter()
+    for seed in range(2000):
+        inst = _validation_instance(seed)
+        expected = _reference_validate(inst)
+        assert _issues(inst) == expected, seed
+        codes.update(code for _, code, _ in expected)
+    assert set(codes) == {
+        "start-window", "end-window", "end-equals-start", "city-unvisitable", "capacity-unreachable"
+    }
+
+
+def test_validate_matches_the_per_key_loops_on_reference_sets():
+    instances = [case.instance for case in load_cases()]
+    instances.append(delivery_demo_instance())
+    instances += [random_instance(seed, max_cities=6, max_intervals=6, max_vehicles=2) for seed in range(100)]
+    for inst in instances:
+        assert _issues(inst) == _reference_validate(inst)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
