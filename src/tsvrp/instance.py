@@ -512,6 +512,14 @@ def _integers(value, what: str) -> tuple[int, ...]:
     return tuple(_number(x, what, integer=True) for x in _list(value, what))
 
 
+def _int64s(value, what: str) -> tuple[int, ...]:
+    """Integers the model stores as int64, where a wider value would wrap."""
+    out = _integers(value, what)
+    if any(abs(x) > _INT64_MAX for x in out):
+        raise InstanceError(f"{what} must lie within the int64 range, got {list(out)!r}")
+    return out
+
+
 def _dense_array(raw, shape: tuple[int, ...], what: str) -> np.ndarray:
     """Convert nested lists into a dense array, rejecting holes and shape errors.
 
@@ -576,9 +584,9 @@ def instance_from_document(doc: dict) -> Instance:
                 start_city=_number(_require(vdoc, "start"), f"{what} start", integer=True),
                 end_city=_number(end, f"{what} end", integer=True) if end is not None else None,
                 type_tag=vdoc.get("type"),
-                capacity_lower=_integers(vdoc.get("q", []), f"{what} q"),
-                capacity_upper=_integers(vdoc.get("Q", []), f"{what} Q"),
-                start_capacity=_integers(c0, f"{what} c0") if c0 is not None else None,
+                capacity_lower=_int64s(vdoc.get("q", []), f"{what} q"),
+                capacity_upper=_int64s(vdoc.get("Q", []), f"{what} Q"),
+                start_capacity=_int64s(c0, f"{what} c0") if c0 is not None else None,
             )
         )
 
@@ -605,6 +613,8 @@ def instance_from_document(doc: dict) -> Instance:
         var_arr = _dense_array(doc["variations"], (t - 1, n, n, m), "variations")
         if np.any(var_arr[:, off, :] != np.round(var_arr[:, off, :])):
             raise InstanceError("variation entries must be integers")
+        if not np.all(np.abs(var_arr) < 2.0**63):
+            raise InstanceError("variation entries must lie within the int64 range")
         variations = VariationSeries(values=var_arr.astype(int))
     elif "variations" in doc:
         raise InstanceError("variations present but capacity_dims = 0")
@@ -653,8 +663,12 @@ def read_json(path):
         raise InstanceError(f"{path} is not a JSON document: {exc}") from exc
 
 
-def write_json(path, doc: dict) -> None:
-    """Write a document as the project's canonical sorted, indented JSON."""
+def write_json(path, doc: dict, rendered: dict[str, str] | None = None) -> None:
+    """Write a document as the project's canonical sorted, indented JSON, in one call.
+    ``rendered`` adds top-level values already in that layout; ``doc`` wins over it.
+    JSON strings hold no raw newline, so nested values re-indent at line breaks."""
+    values = dict(rendered or {})
+    values.update((k, json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ")) for k, v in doc.items())
+    body = ",\n  ".join(f"{json.dumps(k)}: {values[k]}" for k in sorted(values))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(f"{{\n  {body}\n}}\n")

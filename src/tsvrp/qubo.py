@@ -361,43 +361,49 @@ class QuboModel:
         return h, j, offset
 
     # -- identity and interchange --------------------------------------------
-    def _entries(self) -> tuple[list[list], list[list]]:
+    @cached_property
+    def _entry_text(self) -> tuple[str, str, str]:
+        """The ``linear`` and ``quadratic`` entries rendered once, as compact
+        rows ``i, c], [i, c`` without outer brackets, and their fingerprint."""
         self._check_final()
-        linear = [[i, c] for i, c in zip(self.lin_index.tolist(), self.lin_coeff.tolist())]
-        quadratic = [
-            [i, j, c] for i, j, c in zip(self.q_i.tolist(), self.q_j.tolist(), self.q_c.tolist())
-        ]
-        return linear, quadratic
+        linear = _entries(self.lin_index, self.lin_coeff)
+        quadratic = _entries(self.q_i, self.q_j, self.q_c)
+        lin, quad = (f"[[{e}]]" if e else "[]" for e in (linear, quadratic))
+        # json.dumps({"n", "constant", "linear", "quadratic"}, sort_keys=True), spelled out
+        payload = f'{{"constant": {json.dumps(self.constant)}, "linear": {lin}, "n": {self.n_vars}, "quadratic": {quad}}}'
+        return linear, quadratic, hashlib.md5(payload.encode()).hexdigest()[:12]
 
     def fingerprint(self) -> str:
-        linear, quadratic = self._entries()
-        payload = json.dumps(
-            {"n": self.n_vars, "constant": self.constant, "linear": linear, "quadratic": quadratic},
-            sort_keys=True,
-        )
-        return hashlib.md5(payload.encode()).hexdigest()[:12]
+        return self._entry_text[2]
 
-    def to_document(self) -> dict:
-        linear, quadratic = self._entries()
-        variables = [
-            {
-                "index": idx,
-                "vehicle": key.vehicle,
-                "tau": key.tau,
-                "city": key.city,
-                "capacity": list(key.capacity),
-                "state": key.state,
-            }
-            for idx, key in enumerate(self.catalogue.free_keys)
-        ]
-        return {
-            "n_vars": self.n_vars,
-            "constant": self.constant,
-            "linear": linear,
-            "quadratic": quadratic,
-            "variables": variables,
-            "model_ref": self.fingerprint(),
-        }
+
+def _entries(*columns: np.ndarray) -> str:
+    """Join COO columns into ``a, b], [c, d``, each number spelled as json
+    spells it: ``repr``, or json's own word for a non-finite float."""
+    spelled = [map(repr if np.isfinite(c).all() else json.dumps, c.tolist()) for c in columns]
+    return "], [".join(map(", ".join, zip(*spelled)))
+
+
+def _indented(entries: str) -> str:
+    """The rows in ``json.dump(indent=2)``'s layout as a top-level value.
+    Numbers hold no comma, bracket or space, so the separators are unambiguous."""
+    if not entries:
+        return "[]"
+    rows = entries.replace(", ", ",\n      ").replace("],\n      [", "\n    ],\n    [\n      ")
+    return f"[\n    [\n      {rows}\n    ]\n  ]"
+
+
+def _variables(keys: Sequence[VariableKey]) -> str:
+    """One object per free key, in ``json.dump(indent=2)``'s layout as a top-level value."""
+    if not keys:
+        return "[]"
+    caps = {c: json.dumps(list(c), indent=2).replace("\n", "\n      ") for c in {k.capacity for k in keys}}
+    rows = (
+        f'    {{\n      "capacity": {caps[k.capacity]},\n      "city": {k.city},\n      "index": {idx},\n'
+        f'      "state": {json.dumps(k.state)},\n      "tau": {k.tau},\n      "vehicle": {k.vehicle}\n    }}'
+        for idx, k in enumerate(keys)
+    )
+    return "[\n" + ",\n".join(rows) + "\n  ]"
 
 
 def ising_energy(
@@ -410,4 +416,8 @@ def ising_energy(
 
 
 def write_model(model: QuboModel, path, extra: dict | None = None) -> None:
-    write_json(path, {**model.to_document(), **(extra or {})})
+    """Write the model file; its entry rows come from the text the fingerprint hashed."""
+    linear, quadratic, ref = model._entry_text
+    doc = {"constant": model.constant, "model_ref": ref, "n_vars": model.n_vars, **(extra or {})}
+    rows = {"linear": _indented(linear), "quadratic": _indented(quadratic)}
+    write_json(path, doc, {**rows, "variables": _variables(model.catalogue.free_keys)})

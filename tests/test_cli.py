@@ -209,6 +209,21 @@ def test_build_prints_warnings_before_the_summary(tmp_path, capsys):
     assert lines[1].startswith("total qubits: ")
 
 
+@pytest.mark.parametrize("field", ["Q", "variations"])
+def test_build_rejects_integers_past_int64(tmp_path, capsys, field):
+    # At the parent commit the bound ended in exit 3 and the variation
+    # wrapped to -2^63 with exit 0.
+    doc = minimal_document(model_kind="TS_MCVRP", capacity_dims=1)
+    doc["vehicles"] = [{"start": 1, "q": [0], "Q": [10**19 if field == "Q" else 2]}]
+    doc["variations"] = [[[[0], [1e19 if field == "variations" else 1]], [[-1], [0]]]]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code = main(["build", "--instance", str(path), "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert code == 2 and "int64 range" in err and "internal" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_build_refuses_an_unreachable_end_city(tmp_path, capsys):
     # 25 minutes on a 20-minute grid take two intervals: 1 + 2 > T = 2.
     doc = minimal_document()

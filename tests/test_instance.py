@@ -295,8 +295,53 @@ def test_validate_capacity_zero_width_dimension_needs_a_zero_change():
 @pytest.mark.parametrize("lower, upper", [(0, 10**30), (-(2**62), 2**62)], ids=["past-int64", "width-2^63"])
 def test_validate_capacity_on_boxes_wider_than_int64(lower, upper):
     # The per-key loops could not enumerate these boxes; a width that
-    # wrapped in int64 would turn negative and fit no change at all.
+    # wrapped in int64 would turn negative and fit no change at all.  A
+    # bound past int64 itself no longer parses.
+    if upper > np.iinfo(np.int64).max:
+        with pytest.raises(InstanceError, match="vehicle 1 Q must lie within the int64 range"):
+            _three_city_capacitated(5, (lower,), (upper,))
+        return
     assert validate_instance(_three_city_capacitated(5, (lower,), (upper,))) == []
+
+
+def _one_dim_document():
+    doc = minimal_document(model_kind="TS_MCVRP", capacity_dims=1)
+    doc["vehicles"] = [{"start": 1, "q": [0], "Q": [2], "c0": [0]}]
+    doc["variations"] = [[[[0], [1]], [[-1], [0]]]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("Q", 10**19, "vehicle 1 Q"),
+        ("q", -(2**63), "vehicle 1 q"),
+        ("c0", 2**63, "vehicle 1 c0"),
+        ("variations", 1e19, "variation entries"),
+        ("variations", -1e19, "variation entries"),
+        ("variations", 2.0**63, "variation entries"),
+    ],
+    ids=["Q", "q", "c0", "variation", "negative-variation", "variation-2^63"],
+)
+def test_parse_rejects_integers_past_int64(field, value, named):
+    # astype(int) wrapped a variation of ±1e19 to -2^63, and a bound past
+    # int64 ended in an internal error when the box was built.
+    doc = _one_dim_document()
+    if field == "variations":
+        doc["variations"][0][1][0] = [value]
+    else:
+        doc["vehicles"][0][field] = [value]
+    with pytest.raises(InstanceError, match=f"{named} must lie within the int64 range"):
+        parse_instance(json.dumps(doc))
+
+
+def test_parse_accepts_the_int64_extremes():
+    doc = _one_dim_document()
+    doc["vehicles"][0]["Q"] = [2**63 - 1]
+    doc["variations"][0][1][0] = [-(2**62)]
+    inst = parse_instance(json.dumps(doc))
+    assert inst.vehicles[0].capacity_upper == (2**63 - 1,)
+    assert inst.variations.values[0, 1, 0, 0] == -(2**62)
 
 
 def test_validate_warns_on_end_city_inside_windows():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -8,15 +9,23 @@ from hypothesis import given, strategies as st
 
 from tsvrp import (
     PLAIN,
+    AnnealSchedule,
     BuildError,
     QuboModel,
     VariableKey,
     WindowSet,
     build_catalogue,
+    build_model,
+    exhaustive_solve,
+    simulated_anneal,
+    standard_parameters,
 )
+from tsvrp import qubo as qubo_module
+from tsvrp.demo import DEMO_LAMBDA, delivery_demo_instance
+from tsvrp.instance import write_json
 from tsvrp.qubo import ising_energy, write_model
 
-from cases import load_cases, mcsvrp_two_city, three_city_dense, two_city_plain
+from cases import load_cases, mcsvrp_two_city, no_free_variables, three_city_dense, two_city_plain
 from strategies import random_instance
 
 
@@ -399,3 +408,113 @@ def test_model_export_round_trip(tmp_path):
     assert quad == pytest.approx(model.quadratic)
     states = {v["state"] for v in doc["variables"]}
     assert states == {"plain"}
+
+
+# -- the writer against the json.dump document it replaced ---------------------
+#
+# ``_reference_document`` is the earlier ``QuboModel.to_document``: entry
+# lists built per number, hashed by ``json.dumps(sort_keys=True)`` and
+# written by ``json.dump(indent=2, sort_keys=True)``.  The writer renders
+# every entry once as text and must give the same bytes and fingerprint.
+
+_RUN_CONFIG = {"run_config": {"lambda": 1.5, "out": "m", "seed": None, "tags": ["a", "é\n"], "nested": {}}}
+
+
+def _reference_document(model: QuboModel) -> dict:
+    linear = [[i, c] for i, c in zip(model.lin_index.tolist(), model.lin_coeff.tolist())]
+    quadratic = [[i, j, c] for i, j, c in zip(model.q_i.tolist(), model.q_j.tolist(), model.q_c.tolist())]
+    payload = json.dumps(
+        {"n": model.n_vars, "constant": model.constant, "linear": linear, "quadratic": quadratic},
+        sort_keys=True,
+    )
+    variables = [
+        {
+            "index": idx,
+            "vehicle": key.vehicle,
+            "tau": key.tau,
+            "city": key.city,
+            "capacity": list(key.capacity),
+            "state": key.state,
+        }
+        for idx, key in enumerate(model.catalogue.free_keys)
+    ]
+    return {
+        "n_vars": model.n_vars,
+        "constant": model.constant,
+        "linear": linear,
+        "quadratic": quadratic,
+        "variables": variables,
+        "model_ref": hashlib.md5(payload.encode()).hexdigest()[:12],
+    }
+
+
+def _assert_writer_matches_reference(model: QuboModel, path) -> dict:
+    expected = _reference_document(model)
+    write_model(model, path, extra=_RUN_CONFIG)
+    assert path.read_text(encoding="utf-8") == json.dumps({**expected, **_RUN_CONFIG}, indent=2, sort_keys=True) + "\n"
+    assert model.fingerprint() == expected["model_ref"]
+    return expected
+
+
+def test_writer_matches_reference_on_built_models(tmp_path):
+    jobs = [(c.instance, c.lam) for c in load_cases() + [no_free_variables()]]
+    jobs.append((delivery_demo_instance(), DEMO_LAMBDA))
+    jobs += [(random_instance(s, max_cities=6, max_intervals=6, max_vehicles=2), 0.5 + (s % 7) * 0.5) for s in range(100)]
+    widths, empty = set(), 0
+    for inst, lam in jobs:
+        doc = _assert_writer_matches_reference(build_model(inst, standard_parameters(inst.costs, lam)), tmp_path / "m.json")
+        widths |= {len(v["capacity"]) for v in doc["variables"]}
+        empty += doc["linear"] == doc["quadratic"] == doc["variables"] == []
+    assert widths == {0, 1, 2} and empty >= 1
+
+
+def test_writer_matches_reference_on_edge_coefficients(tmp_path):
+    keys = [VariableKey(1, 1, c, PLAIN, ()) for c in (1, 2, 3)]
+
+    model = QuboModel(synthetic_catalogue(3))  # couplings only
+    model.add_quadratic(keys[0], keys[1], 2.5)
+    model.add_quadratic(keys[1], keys[2], -1.0)
+    model.finalize()
+    assert len(model.lin_index) == 0
+    _assert_writer_matches_reference(model, tmp_path / "q.json")
+
+    model = QuboModel(synthetic_catalogue(3))
+    model.add_linear(keys[0], 0.1)
+    model.add_linear(keys[0], 0.2)  # 0.30000000000000004, 17 digits
+    model.add_linear(keys[1], 1e-300)
+    model.add_linear(keys[2], float("inf"))
+    model.add_quadratic(keys[0], keys[2], -float("inf"))
+    model.add_quadratic(keys[0], keys[1], 123456789.12345679)
+    model.finalize()
+    model.constant = -0.0
+    doc = _assert_writer_matches_reference(model, tmp_path / "e.json")
+    assert doc["linear"][0] == [0, 0.30000000000000004]
+    assert '"constant": -0.0,' in (tmp_path / "e.json").read_text() and "Infinity" in (tmp_path / "e.json").read_text()
+
+
+def test_write_json_matches_json_dump(tmp_path):
+    doc = {
+        "b": [1, 2.5, None, True, "x\ny", {"z": [], "a": {}}],
+        "a": {"k": [[1, [2]], []], "é": float("nan")},
+        "c": -0.0,
+        "été": "☃",
+    }
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_entries_are_rendered_once_per_model(tmp_path, monkeypatch):
+    # The fingerprint of exhaustive_solve, simulated_anneal and the model
+    # file all come from one rendering of the entries.
+    calls = []
+    render = qubo_module._entries
+    monkeypatch.setattr(qubo_module, "_entries", lambda *c: calls.append(len(c)) or render(*c))
+    case = three_city_dense()
+    model = build_model(case.instance, standard_parameters(case.instance.costs, case.lam))
+    ref = model.fingerprint()
+    assert exhaustive_solve(model).metadata["model_ref"] == ref
+    assert simulated_anneal(model, AnnealSchedule(sweeps=2, restarts=2, seed=1)).metadata["model_ref"] == ref
+    write_model(model, tmp_path / "m.json")
+    assert json.loads((tmp_path / "m.json").read_text())["model_ref"] == ref
+    assert calls == [2, 3]
