@@ -374,6 +374,7 @@ class QuboModel:
         return linear, quadratic, hashlib.md5(payload.encode()).hexdigest()[:12]
 
     def fingerprint(self) -> str:
+        """First 12 hex digits of the md5 of the compact model JSON, computed once."""
         return self._entry_text[2]
 
 
@@ -418,6 +419,6 @@ def ising_energy(
 def write_model(model: QuboModel, path, extra: dict | None = None) -> None:
     """Write the model file; its entry rows come from the text the fingerprint hashed."""
     linear, quadratic, ref = model._entry_text
-    doc = {"constant": model.constant, "model_ref": ref, "n_vars": model.n_vars, **(extra or {})}
-    rows = {"linear": _indented(linear), "quadratic": _indented(quadratic)}
-    write_json(path, doc, {**rows, "variables": _variables(model.catalogue.free_keys)})
+    rendered = {"linear": _indented(linear), "quadratic": _indented(quadratic),
+                "variables": _variables(model.catalogue.free_keys)}
+    write_json(path, {"constant": model.constant, "model_ref": ref, "n_vars": model.n_vars, **(extra or {})}, rendered)

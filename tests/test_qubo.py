@@ -486,7 +486,7 @@ def test_writer_matches_reference_on_edge_coefficients(tmp_path):
     model.add_quadratic(keys[0], keys[2], -float("inf"))
     model.add_quadratic(keys[0], keys[1], 123456789.12345679)
     model.finalize()
-    model.constant = -0.0
+    model.constant = -0.0  # finalize drops zero entries, so -0.0 reaches a file only here
     doc = _assert_writer_matches_reference(model, tmp_path / "e.json")
     assert doc["linear"][0] == [0, 0.30000000000000004]
     assert '"constant": -0.0,' in (tmp_path / "e.json").read_text() and "Infinity" in (tmp_path / "e.json").read_text()
