@@ -7,12 +7,17 @@ bookkeeping reaches a stored energy.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import os
+import shutil
+import tempfile
 import threading
 from dataclasses import dataclass, field
+from functools import cache, partial
 from itertools import repeat
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +37,12 @@ _MIN_SHARD_CHAINS = 512
 
 # What one chain's generator takes, about 1 kB for a PCG64 under numpy 2.
 _GENERATOR_BYTES = 1_024
+
+# The compiled chain kernel: its source, the build command after the
+# compiler (no FMA contraction, no fast-math) and the build's time limit.
+_KERNEL_SOURCE = Path(__file__).with_name("_anneal.c")
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_COMPILE_SECONDS = 60
 
 # The exhaustive scan tabulates this many low variables once, scores
 # about this many states per chunk and keeps this many histogram levels.
@@ -241,12 +252,15 @@ def simulated_anneal(
     Chain ``r`` derives all of its randomness from ``seed + r``: first its
     starting bits, then one uniform ``u`` per (sweep, variable) step,
     consumed in that order; a step flips its variable when
-    ``u < exp(-beta * dE)``, so every downhill step flips.  A sweep visits
-    the colour classes of ``_colour_classes`` in turn, each class's members
-    in ascending order (a chromatic scan); members of a class share no
-    coupling, so a class is visited in one vectorized step.  Chains run in
-    vectorized lockstep, in groups and across processes, which changes
-    nothing observable because they never interact.  Each chain reports
+    ``dE < -ln(u) / beta``, so every downhill step flips, and so does any
+    step whose ``u`` is 0.  A sweep visits the colour classes of
+    ``_colour_classes`` in turn, each class's members in ascending order
+    (a chromatic scan).  The scan runs chain by chain in the compiled
+    kernel of ``_anneal.c`` when this process can build it, else in
+    vectorized lockstep over groups of chains with numpy, where members
+    of a class, which share no coupling, are visited in one step.  Both
+    give the same bits, and grouping and sharding over processes change
+    nothing observable because chains never interact.  Each chain reports
     its best-ever state; identical states merge into one record with a
     multiplicity and the model's ``energy``.  ``accepted_per_sweep``
     counts the accepted flips of each sweep over all chains.
@@ -272,7 +286,12 @@ def simulated_anneal(
     lin = np.zeros(n)
     lin[model.lin_index] = model.lin_coeff
     visit, classes = _class_steps(_colour_classes(model), neighbours)
-    job = _AnnealJob(model, schedule.seed, schedule.betas(model), lin, neighbours, visit, classes, track_chains)
+    # Built before any shard is forked, so that every shard shares it.
+    compiled = _compiled_kernel()
+    kernel = None if compiled is None else _bind_scan(compiled, visit, classes)
+    job = _AnnealJob(
+        model, schedule.seed, schedule.betas(model), lin, neighbours, visit, classes, kernel, track_chains
+    )
     ranges = _shard_ranges(schedule.restarts)
     parts = _run_sharded(job, ranges) if len(ranges) > 1 else [_anneal_range(job, *ranges[0])]
 
@@ -337,6 +356,55 @@ def _class_steps(classes: list[np.ndarray], neighbours) -> tuple[np.ndarray, tup
     return visit, tuple(steps)
 
 
+@cache
+def _compiled_kernel():
+    """``anneal_chain`` of ``_anneal.c``, built at most once per process.
+
+    The compiler is ``cc`` on ``PATH``; the library goes to a private
+    temporary directory, which is gone once the library is loaded.  With
+    no compiler, a failed or overlong build, or a library that does not
+    load, this returns None and the numpy class step runs instead.
+    """
+    # Imported here, on the first anneal, not by every start of the program.
+    import subprocess
+
+    compiler = shutil.which("cc")
+    if compiler is None:
+        return None
+    with tempfile.TemporaryDirectory(prefix="tsvrp-") as scratch:
+        library = os.path.join(scratch, "_anneal.so")
+        command = [compiler, *_KERNEL_FLAGS, "-o", library, str(_KERNEL_SOURCE)]
+        try:
+            built = subprocess.run(
+                command, stdin=subprocess.DEVNULL, capture_output=True, timeout=_COMPILE_SECONDS
+            )
+            if built.returncode != 0:
+                return None
+            function = ctypes.CDLL(library).anneal_chain
+        except (OSError, subprocess.SubprocessError):
+            return None
+    count, pointer = ctypes.c_int64, ctypes.c_void_p
+    function.argtypes = [count, count, *[pointer] * 5, count, *[pointer] * 8, count, count, count]
+    function.restype = None
+    return function
+
+
+def _bind_scan(function, visit: np.ndarray, classes: tuple) -> partial:
+    """``function`` with the scan bound: the pairs in visit order, each
+    with its first row, its neighbour rows and their two couplings (the
+    second zero for a lone member), and the variable of every row.  The
+    bound pointers keep their arrays alive."""
+    pairs = [(a + q, rows, block) for a, _, steps in classes for q, rows, block in steps]
+    starts = np.array([first for first, _, _ in pairs] + [len(visit)], dtype=np.int64)
+    sizes = np.cumsum([0] + [len(rows) for _, rows, _ in pairs], dtype=np.int64)
+    rows = np.concatenate([rows for _, rows, _ in pairs]).astype(np.int64)
+    weights = np.zeros((len(rows), 2))
+    for (_, _, block), lo, hi in zip(pairs, sizes, sizes[1:]):
+        weights[lo:hi, : block.shape[1]] = block
+    arrays = (starts, sizes, rows, weights, visit.astype(np.int64))
+    return partial(function, len(visit), len(pairs), *(a.ctypes.data_as(ctypes.c_void_p) for a in arrays))
+
+
 class _AnnealJob(NamedTuple):
     """What every chain of one annealing call shares."""
 
@@ -350,6 +418,8 @@ class _AnnealJob(NamedTuple):
     # and its pair updates ``(q, rows, block)``; see ``_class_steps``.
     visit: np.ndarray
     classes: tuple
+    # ``anneal_chain`` of ``_anneal.c`` with this scan bound, or None.
+    kernel: partial | None
     track: bool
 
 
@@ -424,22 +494,25 @@ def _shard_child(job: _AnnealJob, lo: int, hi: int, reader, writer) -> None:
 def _chain_bytes(n: int, sweeps: int) -> int:
     """One chain's share of its group's state: its generator, at most
     ten ``n``-sized rows at once (five of state, a class's ``dE``,
-    ``exp``/``delta`` and accept rows, a pair update's output and one
-    passing copy), its best energy and accepted flips per sweep, and a
-    few scalars."""
+    ``delta`` and accept rows, a pair update's output and one passing
+    copy), its best energy and accepted flips per sweep, and a few
+    scalars."""
     return 8 * (10 * n + 2 * sweeps + 10) + _GENERATOR_BYTES
 
 
-def _group_plan(n: int, sweeps: int, chains: int) -> tuple[int, int]:
+def _group_plan(n: int, sweeps: int, chains: int, compiled: bool = False) -> tuple[int, int]:
     """Chains per group, as even as they come, and sweeps per tape block.
 
     A group's state takes at most three quarters of ``_TAPE_BUDGET``,
-    its tape block the rest.
+    its tape block the rest: a block of every chain of the group for the
+    numpy step, of one chain for the compiled kernel, which runs the
+    group's chains one at a time.
     """
     state = _chain_bytes(n, sweeps)
     groups = -(-chains // max(1, 3 * _TAPE_BUDGET // (4 * state)))
     group = -(-chains // groups)
-    block = max(1, min(sweeps, (_TAPE_BUDGET - group * state) // (8 * n * group)))
+    tape_chains = 1 if compiled else group
+    block = max(1, min(sweeps, (_TAPE_BUDGET - group * state) // (8 * n * tape_chains)))
     return group, block
 
 
@@ -448,7 +521,7 @@ def _anneal_range(job: _AnnealJob, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     energy after each sweep, per chain if the job tracks chains, else
     the minimum over these chains, and the accepted flips of each sweep
     summed over these chains."""
-    group, block = _group_plan(job.model.n_vars, len(job.betas), hi - lo)
+    group, block = _group_plan(job.model.n_vars, len(job.betas), hi - lo, job.kernel is not None)
     bits, trajectories, accepted = [], [], 0
     for g0 in range(lo, hi, group):
         seeds = range(job.seed + g0, job.seed + min(g0 + group, hi))
@@ -462,17 +535,55 @@ def _anneal_range(job: _AnnealJob, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     return np.concatenate(bits), np.min(trajectories, axis=0), accepted
 
 
+def _thresholds(rng, betas: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with one chain's next ``len(betas)`` sweeps of
+    thresholds ``-ln(u) / beta_t``, in variable order.  Both kernels take
+    their tape from here, one chain's contiguous block at a time, so both
+    see the same values.  ``u = 0`` gives ``+inf``, under the caller's
+    ``np.errstate(divide="ignore")``."""
+    rng.random(out=out)
+    np.log(out, out=out)
+    return np.divide(out, -betas[:, None], out=out)
+
+
 def _anneal_group(job: _AnnealJob, rngs, block: int):
-    """Anneal one group of chains, held chains-last: row ``p`` of ``spin``
-    (``1 - 2 * bits``) and of ``field`` is variable ``job.visit[p]`` of
-    every chain.
+    """Anneal one group of chains: their best bits as ``uint8`` rows, the
+    best energy after each sweep as ``(sweeps + 1, chains)`` and the
+    accepted flips of each sweep summed over the group.
 
     Each chain draws its starting bits and switches them on in index
     order, from ``field = lin`` and ``energy = constant``, with the same
     elementwise adds as a flip, so no start depends on the group's shape.
-    A sweep then visits the classes in row order.  One step takes ``dE``
-    for every member of a class, accepts each against the chain's own
-    uniform for that (sweep, variable), flips the accepted members and
+    The start goes to the compiled kernel when the job has one, else to
+    the numpy class step, as ``spin`` (``1 - 2 * bits``) and ``field``
+    rows in visit order, chains last.
+    """
+    n, g = len(job.lin), len(rngs)
+    spin = np.empty((n, g))
+    for c, rng in enumerate(rngs):
+        spin[:, c] = rng.integers(0, 2, n)
+    field = np.repeat(job.lin[:, None], g, axis=1)
+    cur = np.full(g, job.model.constant)
+    push = np.empty((max(len(nb) for nb, _ in job.neighbours), g))
+    for bit, f, (nb, w) in zip(spin, field, job.neighbours):
+        np.add(cur, f, out=cur, where=bit > 0)
+        field[nb] += np.einsum("i,j->ij", w, bit, out=push[: len(nb)])
+    spin, field = spin[job.visit], field[job.visit]
+    spin *= -2.0
+    spin += 1.0
+    run = _numpy_sweeps if job.kernel is None else _compiled_sweeps
+    # The log of a uniform of 0 is -inf, a threshold every step passes.
+    with np.errstate(divide="ignore"):
+        return run(job, rngs, block, spin, field, cur)
+
+
+def _numpy_sweeps(job: _AnnealJob, rngs, block: int, spin, field, cur):
+    """Every sweep of one group in lockstep; row ``p`` of ``spin`` and of
+    ``field`` is variable ``job.visit[p]`` of every chain.
+
+    A sweep visits the classes in row order.  One step takes ``dE`` for
+    every member of a class, accepts each against the chain's own
+    threshold for that (sweep, variable), flips the accepted members and
     adds each pair's ``block @ delta`` to the pair's neighbour rows, in
     pair order: no product of a step reaches a member of its own class,
     and each sum has two terms, so no field depends on the group's shape.
@@ -486,19 +597,6 @@ def _anneal_group(job: _AnnealJob, rngs, block: int):
     entries its end state changed.
     """
     n, g, sweeps = len(job.lin), len(rngs), len(job.betas)
-    spin = np.empty((n, g))
-    for c, rng in enumerate(rngs):
-        spin[:, c] = rng.integers(0, 2, n)
-    field = np.repeat(job.lin[:, None], g, axis=1)
-    cur = np.full(g, job.model.constant)
-    # A pair's rows include each member's neighbours.
-    push = np.empty((max(len(r) for *_, pairs in job.classes for _, r, _ in pairs), g))
-    for bit, f, (nb, w) in zip(spin, field, job.neighbours):
-        np.add(cur, f, out=cur, where=bit > 0)
-        field[nb] += np.einsum("i,j->ij", w, bit, out=push[: len(nb)])
-    spin, field = spin[job.visit], field[job.visit]
-    spin *= -2.0
-    spin += 1.0
     best, best_spin = cur.copy(), spin.copy()
     sweep_start = np.empty_like(spin)
     # Row p + 1 holds the energy after visiting row p, row 0 the sweep's start.
@@ -507,47 +605,71 @@ def _anneal_group(job: _AnnealJob, rngs, block: int):
     trajectory = np.empty((sweeps + 1, g))
     trajectory[0] = cur
     accepted = np.empty(sweeps, dtype=np.int64)
-    tape = np.empty((block, n, g))
+    tape, draw = np.empty((block, n, g)), np.empty((block, n))
+    # A pair's rows include each member's neighbours.
+    push = np.empty((max(len(r) for *_, pairs in job.classes for _, r, _ in pairs), g))
     widest = max(b - a for a, b, _ in job.classes)
     de, delta = np.empty((widest, g)), np.empty((widest, g))
     accept = np.empty((widest, g), dtype=bool)
     order, chains = np.arange(n, dtype=np.int32)[:, None], np.arange(g)
-    with np.errstate(over="ignore"):
-        for t0 in range(0, sweeps, block):
-            width = min(block, sweeps - t0)
-            # Each chain's uniforms in visit order; "clip" (every index is
-            # valid) lets take write into the strided slice without a copy.
-            for c, rng in enumerate(rngs):
-                np.take(rng.random((width, n)), job.visit, axis=1, out=tape[:width, :, c], mode="clip")
-            for t in range(t0, t0 + width):
-                neg_beta = -job.betas[t]
-                np.copyto(sweep_start, spin)
-                u = tape[t - t0]
-                for a, b, pairs in job.classes:
-                    m = b - a
-                    s = spin[a:b]
-                    d = np.multiply(field[a:b], s, out=de[:m])
-                    e = np.multiply(d, neg_beta, out=delta[:m])
-                    np.exp(e, out=e)
-                    ok = np.less(u[a:b], e, out=accept[:m])
-                    np.multiply(d, ok, out=energy_log[a + 1 : b + 1])
-                    np.cumsum(energy_log[a : b + 1], axis=0, out=energy_log[a : b + 1])
-                    moved = np.multiply(s, ok, out=e)
-                    for q, rows, weights in pairs:
-                        field[rows] += np.matmul(weights, moved[q : q + 2], out=push[: len(rows)])
-                    np.negative(s, out=s, where=ok)
-                first = energy_log[1:].argmin(axis=0)
-                low = energy_log[first + 1, chains]
-                improved = low < best
-                np.copyto(best, low, where=improved)
-                np.copyto(best_spin, sweep_start, where=improved)
-                np.copyto(best_spin, spin, where=improved & (order <= first))
-                trajectory[t + 1] = best
-                accepted[t] = np.count_nonzero(spin != sweep_start)
-                energy_log[0] = energy_log[n]
+    for t0 in range(0, sweeps, block):
+        width = min(block, sweeps - t0)
+        # Each chain's thresholds in visit order; "clip" (every index is
+        # valid) lets take write into the strided slice without a copy.
+        for c, rng in enumerate(rngs):
+            thresholds = _thresholds(rng, job.betas[t0 : t0 + width], draw[:width])
+            np.take(thresholds, job.visit, axis=1, out=tape[:width, :, c], mode="clip")
+        for t in range(t0, t0 + width):
+            np.copyto(sweep_start, spin)
+            thresholds = tape[t - t0]
+            for a, b, pairs in job.classes:
+                m = b - a
+                s = spin[a:b]
+                d = np.multiply(field[a:b], s, out=de[:m])
+                ok = np.less(d, thresholds[a:b], out=accept[:m])
+                np.multiply(d, ok, out=energy_log[a + 1 : b + 1])
+                np.cumsum(energy_log[a : b + 1], axis=0, out=energy_log[a : b + 1])
+                moved = np.multiply(s, ok, out=delta[:m])
+                for q, rows, weights in pairs:
+                    field[rows] += np.matmul(weights, moved[q : q + 2], out=push[: len(rows)])
+                np.negative(s, out=s, where=ok)
+            first = energy_log[1:].argmin(axis=0)
+            low = energy_log[first + 1, chains]
+            improved = low < best
+            np.copyto(best, low, where=improved)
+            np.copyto(best_spin, sweep_start, where=improved)
+            np.copyto(best_spin, spin, where=improved & (order <= first))
+            trajectory[t + 1] = best
+            accepted[t] = np.count_nonzero(spin != sweep_start)
+            energy_log[0] = energy_log[n]
     best_bits = np.empty((g, n), dtype=np.uint8)
     best_bits[:, job.visit] = (best_spin < 0).T
     return best_bits, trajectory, accepted
+
+
+def _compiled_sweeps(job: _AnnealJob, rngs, block: int, spin, field, cur):
+    """The sweeps of ``_numpy_sweeps`` in the compiled kernel, one chain
+    at a time and member by member, on chains-first copies of the state;
+    the tape holds one chain's block of thresholds at a time."""
+    n, g, sweeps = len(job.lin), len(rngs), len(job.betas)
+    spin, field = np.ascontiguousarray(spin.T), np.ascontiguousarray(field.T)
+    best_spin = spin.copy()
+    # Per chain: the current energy, then the best.
+    energy = np.repeat(cur[:, None], 2, axis=1)
+    trajectory = np.empty((g, sweeps + 1))
+    trajectory[:, 0] = cur
+    accepted = np.zeros(sweeps, dtype=np.int64)
+    tape, start = np.empty((block, n)), np.empty(n)
+    arrays = (tape, start, spin, field, best_spin, energy, trajectory, accepted)
+    run = partial(job.kernel, sweeps, *(a.ctypes.data_as(ctypes.c_void_p) for a in arrays))
+    for c, rng in enumerate(rngs):
+        for t0 in range(0, sweeps, block):
+            width = min(block, sweeps - t0)
+            _thresholds(rng, job.betas[t0 : t0 + width], tape[:width])
+            run(c, t0, width)
+    best_bits = np.empty((g, n), dtype=np.uint8)
+    best_bits[:, job.visit] = best_spin < 0
+    return best_bits, trajectory.T, accepted
 
 
 def _sa_metadata(model: QuboModel, schedule: AnnealSchedule, b0: float, b1: float) -> dict:

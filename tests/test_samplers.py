@@ -1,4 +1,8 @@
 import os
+import shutil
+import tempfile
+import warnings
+from contextlib import contextmanager
 from math import comb
 
 import numpy as np
@@ -435,13 +439,12 @@ def _reference_colour_classes(coupling):
 
 def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
     """The chromatic scan written out member by member: chains-first state,
-    the whole random tape of a chunk of chains drawn up front, a separate
-    branch for uphill steps, and best-ever tracking after every flip.  A
-    sweep visits the colour classes in order and each class's members in
-    ascending order, in pairs; once both members of a pair are visited,
-    every field takes the pair's ``t0 + t1`` in one add.  Its start
-    switches each chain's set bits on in index order, as the kernel's
-    does."""
+    the whole threshold tape ``-ln(u) / beta`` of a chunk of chains drawn
+    up front, and best-ever tracking after every flip.  A sweep visits the
+    colour classes in order and each class's members in ascending order,
+    in pairs; once both members of a pair are visited, every field takes
+    the pair's ``t0 + t1`` in one add.  Its start switches each chain's
+    set bits on in index order, as the kernels' does."""
     from collections import Counter
 
     from tsvrp.samplers import SampleRecord, SampleSet, _sa_metadata
@@ -468,6 +471,8 @@ def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
             rng = np.random.Generator(np.random.PCG64(schedule.seed + base + r))
             bits[r] = rng.integers(0, 2, n)
             tape[:, :, r] = rng.random((sweeps, n))
+        with np.errstate(divide="ignore"):  # a uniform of 0 never blocks a flip
+            thresholds = -np.log(tape) / betas[:, None, None]
         field_now = np.tile(lin, (size, 1))
         cur = np.full(size, model.constant)
         for j in range(n):  # switch each set bit on, in index order
@@ -478,16 +483,11 @@ def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
         best_bits = bits.copy()
         chunk_traj = [best.copy()]
         for t in range(sweeps):
-            beta = betas[t]
             for pair in pairs:
                 delta = np.zeros((size, len(pair)))
                 for k, j in enumerate(pair):
                     de = field_now[:, j] * (1.0 - 2.0 * bits[:, j])
-                    accept = de <= 0.0
-                    uphill = ~accept
-                    if uphill.any():
-                        accept[uphill] = tape[t, j, uphill] < np.exp(-beta * de[uphill])
-                    rows = np.nonzero(accept)[0]
+                    rows = np.nonzero(de < thresholds[t, j])[0]
                     accepted[t] += rows.size
                     if rows.size:
                         delta[rows, k] = 1.0 - 2.0 * bits[rows, j]
@@ -550,17 +550,34 @@ def _force_shards(monkeypatch, shards):
     monkeypatch.setattr(samplers_module, "_MIN_SHARD_CHAINS", 1)
 
 
-def _assert_same_anneal(model, schedule):
+# The two kernels of ``simulated_anneal``: the numpy class step, and the
+# compiled one, which loads wherever ``cc`` is on PATH (see
+# ``test_compiled_kernel_loads_where_a_compiler_is``).
+KERNELS = ("numpy", "compiled")
+
+
+@contextmanager
+def _kernel(name):
+    """``simulated_anneal`` on the named kernel within the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "numpy":
+            patch.setattr(samplers_module, "_compiled_kernel", lambda: None)
+        yield
+
+
+def _assert_same_anneal(model, schedule, kernels=KERNELS):
     import multiprocessing
 
     for track in (True, False):
-        expected = _reference_anneal(model, schedule, track)
-        actual = simulated_anneal(model, schedule, track_chains=track)
-        assert actual.to_document() == expected.to_document()
-        assert ("chain_best_per_sweep" in actual.metadata) == track
-        accepted = actual.metadata["accepted_per_sweep"]
-        assert len(accepted) == schedule.sweeps and all(type(k) is int for k in accepted)
-        assert not multiprocessing.active_children()
+        expected = _reference_anneal(model, schedule, track).to_document()
+        for kernel in kernels:
+            with _kernel(kernel):
+                actual = simulated_anneal(model, schedule, track_chains=track)
+            assert actual.to_document() == expected, kernel
+            assert ("chain_best_per_sweep" in actual.metadata) == track
+            accepted = actual.metadata["accepted_per_sweep"]
+            assert len(accepted) == schedule.sweeps and all(type(k) is int for k in accepted)
+            assert not multiprocessing.active_children()
 
 
 def test_planted_fleet_model_is_fleet_sized():
@@ -570,8 +587,9 @@ def test_planted_fleet_model_is_fleet_sized():
 
 
 def test_kernel_matches_reference_on_every_case(monkeypatch):
-    # Groups of two chains; on all but the smallest models, tape blocks of
-    # fewer sweeps than the run has.
+    # Groups of two chains; on all but the smallest models, numpy tape
+    # blocks of fewer sweeps than the run has.  The compiled kernel's
+    # one-chain blocks are whole here; the tape-block test splits them.
     schedule = AnnealSchedule(sweeps=20, restarts=5, seed=41)
     blocked = 0
     for case in load_cases():
@@ -582,6 +600,7 @@ def test_kernel_matches_reference_on_every_case(monkeypatch):
         monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", 3 * samplers_module._chain_bytes(n, schedule.sweeps))
         group, block = samplers_module._group_plan(n, schedule.sweeps, schedule.restarts)
         assert group == 2
+        assert samplers_module._group_plan(n, schedule.sweeps, schedule.restarts, compiled=True)[0] == 2
         blocked += block < schedule.sweeps
         _assert_same_anneal(model, schedule)
     assert blocked >= 15
@@ -601,7 +620,9 @@ def test_kernel_matches_reference_across_tape_blocks(monkeypatch, budget):
     # From one chain with one sweep per block up to whole groups.  On the
     # fleet model a budget of 1 steps one-chain groups through classes of
     # five members, where a product over a whole class rounds differently
-    # from the same product over more chains.
+    # from the same product over more chains.  The compiled kernel's
+    # one-chain blocks hold one sweep at a budget of 1 and six fleet
+    # sweeps at 30,000.
     _force_shards(monkeypatch, 2)
     monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", budget)
     for model in (demo_model(), planted_fleet_model()):
@@ -634,10 +655,12 @@ def test_start_energies_match_the_model(monkeypatch, shards):
     schedule = AnnealSchedule(sweeps=3, restarts=5, seed=606)
     for model in (demo_model(), planted_fleet_model()):
         model.constant = 1.25
-        result = simulated_anneal(model, schedule, track_chains=True)
-        for c, chain in enumerate(result.metadata["chain_best_per_sweep"]):
-            bits = np.random.Generator(np.random.PCG64(schedule.seed + c)).integers(0, 2, model.n_vars)
-            assert abs(chain[0] - model.energy(tuple(bits.tolist()))) <= ENERGY_TOL
+        for kernel in KERNELS:
+            with _kernel(kernel):
+                result = simulated_anneal(model, schedule, track_chains=True)
+            for c, chain in enumerate(result.metadata["chain_best_per_sweep"]):
+                bits = np.random.Generator(np.random.PCG64(schedule.seed + c)).integers(0, 2, model.n_vars)
+                assert abs(chain[0] - model.energy(tuple(bits.tolist()))) <= ENERGY_TOL
 
 
 def test_every_stored_energy_is_the_model_energy():
@@ -669,6 +692,88 @@ def test_sa_needs_no_dense_copy(monkeypatch):
     assert simulated_anneal(model, schedule).to_document() == expected
 
 
+class _ZeroPlanted:
+    """A generator whose uniforms below ``cut`` come out as exactly 0.0,
+    which ``Generator.random`` can return: a rule on values, so a tape
+    drawn in blocks holds the same zeros as one drawn whole."""
+
+    cut = 0.05
+    generator = np.random.Generator
+
+    def __init__(self, bit_generator):
+        self._rng = self.generator(bit_generator)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, size=None, out=None):
+        u = self._rng.random(size, out=out)
+        u[u < self.cut] = 0.0
+        return u
+
+
+def test_a_zero_uniform_always_flips(monkeypatch):
+    # -ln(0) / beta is +inf, so the step flips whatever its dE, where
+    # u < exp(-beta * dE) would refuse it once the exp underflows to 0;
+    # and the log of 0 warns nowhere.
+    monkeypatch.setattr(np.random, "Generator", _ZeroPlanted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_anneal(demo_model(), AnnealSchedule(sweeps=9, restarts=5, seed=11))
+        monkeypatch.setattr(_ZeroPlanted, "cut", 1.0)
+        model = single_variable_model(coeff=1e6)
+        schedule = AnnealSchedule(sweeps=6, restarts=4, seed=2)
+        assert np.exp(-schedule.resolved_betas(model)[1] * 1e6) == 0.0
+        _assert_same_anneal(model, schedule)
+        for kernel in KERNELS:
+            with _kernel(kernel):
+                result = simulated_anneal(model, schedule)
+            assert result.metadata["accepted_per_sweep"] == [schedule.restarts] * schedule.sweeps
+
+
+def test_compiled_kernel_loads_where_a_compiler_is(monkeypatch, tmp_path):
+    # A build that fails falls back to numpy without a word, so a broken
+    # kernel would pass every other test; here it fails.  The build's
+    # temporary directory is gone once the library is loaded.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    samplers_module._compiled_kernel.cache_clear()
+    try:
+        kernel = samplers_module._compiled_kernel()
+        assert (kernel is not None) == (shutil.which("cc") is not None)
+        assert samplers_module._compiled_kernel() is kernel  # built once per process
+    finally:
+        samplers_module._compiled_kernel.cache_clear()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("compiler", [None, "#!/bin/sh\nexit 1\n"], ids=["missing", "failing"])
+def test_anneal_falls_back_to_numpy_without_a_working_compiler(monkeypatch, tmp_path, compiler):
+    # No cc on PATH, or a cc that exits non-zero: the same documents, no
+    # warning, and neither a temporary directory nor a child left behind.
+    schedule = AnnealSchedule(sweeps=20, restarts=9, seed=3)
+    model = demo_model()
+    expected = simulated_anneal(model, schedule, track_chains=True).to_document()
+    bin_dir, scratch = tmp_path / "bin", tmp_path / "tmp"
+    bin_dir.mkdir()
+    scratch.mkdir()
+    if compiler is not None:
+        (bin_dir / "cc").write_text(compiler)
+        (bin_dir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    samplers_module._compiled_kernel.cache_clear()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert simulated_anneal(model, schedule, track_chains=True).to_document() == expected
+        assert samplers_module._compiled_kernel() is None
+    finally:
+        samplers_module._compiled_kernel.cache_clear()
+    assert list(scratch.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sa_on_a_model_without_linear_terms():
     # The kernel's linear vector is float64 even when no linear term is left.
     cat = synthetic_catalogue(3)
@@ -682,6 +787,8 @@ def test_sa_on_a_model_without_linear_terms():
 
 
 def test_group_plan_stays_within_the_budget(monkeypatch):
+    # The numpy step holds a tape block of every chain of its group, the
+    # compiled kernel one of a single chain.
     for budget in (50_000, 1_000_000, 16_000_000):
         monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", budget)
         for n in (3, 84, 216):
@@ -690,9 +797,11 @@ def test_group_plan_stays_within_the_budget(monkeypatch):
                 if state + 8 * n > budget:
                     continue
                 for chains in (1, 7, 2000, 10**6):
-                    group, block = samplers_module._group_plan(n, sweeps, chains)
-                    assert 1 <= group <= chains and 1 <= block <= sweeps
-                    assert group * state + 8 * n * group * block <= budget
+                    for compiled in (False, True):
+                        group, block = samplers_module._group_plan(n, sweeps, chains, compiled)
+                        assert 1 <= group <= chains and 1 <= block <= sweeps
+                        tape_chains = 1 if compiled else group
+                        assert group * state + 8 * n * tape_chains * block <= budget
 
 
 def test_sa_memory_does_not_grow_with_sweeps_times_restarts(monkeypatch):
@@ -706,18 +815,20 @@ def test_sa_memory_does_not_grow_with_sweeps_times_restarts(monkeypatch):
     _force_shards(monkeypatch, 1)
     model = twenty_variable_model()
     n = model.n_vars
-    simulated_anneal(model, AnnealSchedule(sweeps=1, restarts=1))  # one-off allocations stay unmeasured
-    for schedule, avoided in (
-        (AnnealSchedule(sweeps=50, restarts=200, seed=2), 8 * 50 * n * 200 / 2),
-        (AnnealSchedule(sweeps=1, restarts=5_000, seed=2), samplers_module._GENERATOR_BYTES * 5_000),
-    ):
-        tracemalloc.start()
-        try:
-            simulated_anneal(model, schedule)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64_000 + 5 * 8 * n * schedule.restarts + 100_000 < avoided
+    for kernel in KERNELS:
+        with _kernel(kernel):
+            simulated_anneal(model, AnnealSchedule(sweeps=1, restarts=1))  # one-off allocations stay unmeasured
+            for schedule, avoided in (
+                (AnnealSchedule(sweeps=50, restarts=200, seed=2), 8 * 50 * n * 200 / 2),
+                (AnnealSchedule(sweeps=1, restarts=5_000, seed=2), samplers_module._GENERATOR_BYTES * 5_000),
+            ):
+                tracemalloc.start()
+                try:
+                    simulated_anneal(model, schedule)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 64_000 + 5 * 8 * n * schedule.restarts + 100_000 < avoided, kernel
 
 
 def test_sharded_anneal_reraises_a_shard_failure(monkeypatch):
