@@ -139,8 +139,8 @@ class AnnealSchedule:
 
 
 def _check_betas(beta_start: float, beta_end: float) -> None:
-    # An infinite beta turns a zero-cost step's -beta * dE into NaN,
-    # which the acceptance compare would reject.
+    # An infinite beta makes every threshold -ln(u) / beta zero, or NaN
+    # where u is 0, so no zero-cost step would flip.
     if not (0 < beta_start < math.inf and 0 < beta_end < math.inf):
         raise SamplerError(f"betas must be positive and finite, got {beta_start} and {beta_end}")
     if not beta_start < beta_end:

@@ -565,12 +565,12 @@ def _kernel(name):
         yield
 
 
-def _assert_same_anneal(model, schedule, kernels=KERNELS):
+def _assert_same_anneal(model, schedule):
     import multiprocessing
 
     for track in (True, False):
         expected = _reference_anneal(model, schedule, track).to_document()
-        for kernel in kernels:
+        for kernel in KERNELS:
             with _kernel(kernel):
                 actual = simulated_anneal(model, schedule, track_chains=track)
             assert actual.to_document() == expected, kernel
