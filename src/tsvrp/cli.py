@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 
 from . import decoder, hamiltonians, oracle, samplers
 from .instance import Instance, InstanceError, read_instance, validate_instance, write_json
@@ -40,6 +41,7 @@ def _default_seed() -> int:
     return int(raw)
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsvrp",

@@ -244,9 +244,7 @@ def exhaustive_solve(model: QuboModel) -> SampleSet:
     )
 
 
-def simulated_anneal(
-    model: QuboModel, schedule: AnnealSchedule, track_chains: bool = False
-) -> SampleSet:
+def simulated_anneal(model: QuboModel, schedule: AnnealSchedule) -> SampleSet:
     """Independent single-flip Metropolis chains under a geometric ramp.
 
     Chain ``r`` derives all of its randomness from ``seed + r``: first its
@@ -255,54 +253,57 @@ def simulated_anneal(
     ``dE < -ln(u) / beta``, so every downhill step flips, and so does any
     step whose ``u`` is 0.  A sweep visits the colour classes of
     ``_colour_classes`` in turn, each class's members in ascending order
-    (a chromatic scan).  The scan runs chain by chain in the compiled
-    kernel of ``_anneal.c`` when this process can build it, else in
-    vectorized lockstep over groups of chains with numpy, where members
-    of a class, which share no coupling, are visited in one step.  Both
-    give the same bits, and grouping and sharding over processes change
-    nothing observable because chains never interact.  Each chain reports
-    its best-ever state; identical states merge into one record with a
-    multiplicity and the model's ``energy``.  ``accepted_per_sweep``
-    counts the accepted flips of each sweep over all chains.
+    (a chromatic scan); after a member flips, each of its neighbours'
+    fields takes ``w * d`` in its own add, ``d`` the member's spin before
+    the flip.  The scan runs chain by chain in the compiled kernel of
+    ``_anneal.c`` when this process can build it, else in vectorized
+    lockstep over groups of chains with numpy, where members of a class,
+    which share no coupling, are visited in one step.  Both give the same
+    bits, and grouping and sharding over processes change nothing
+    observable because chains never interact: a run's chain ``r`` is the
+    one-chain run at ``seed + r``.  Each chain reports its best-ever
+    state; identical states merge into one record with a multiplicity and
+    the model's ``energy``.  ``best_energy_per_sweep`` is the lowest best
+    over all chains after each sweep, and ``accepted_per_sweep`` counts
+    the accepted flips of each sweep over all chains.
     """
     n = model.n_vars
     b0, b1 = schedule.resolved_betas(model)
     metadata = _sa_metadata(model, schedule, b0, b1)
     if n == 0:
         records = (SampleRecord((), model.constant, schedule.restarts),)
-        per_sweep = [model.constant] * (schedule.sweeps + 1)
-        metadata["best_energy_per_sweep"] = per_sweep
+        metadata["best_energy_per_sweep"] = [model.constant] * (schedule.sweeps + 1)
         metadata["accepted_per_sweep"] = [0] * schedule.sweeps
-        if track_chains:
-            metadata["chain_best_per_sweep"] = [per_sweep[:] for _ in range(schedule.restarts)]
         return SampleSet(records=records, metadata=metadata)
 
-    # Both orientations of every coupling, by row, then column: ascending neighbours.
-    rows, cols = np.concatenate([model.q_i, model.q_j]), np.concatenate([model.q_j, model.q_i])
-    order = np.lexsort((cols, rows))
-    edges = np.cumsum(np.bincount(rows, minlength=n))[:-1]
-    weights = np.concatenate([model.q_c, model.q_c])[order]
-    neighbours = tuple(zip(np.split(cols[order], edges), np.split(weights, edges)))
+    classes = _colour_classes(model)
+    visit = np.concatenate(classes, dtype=np.int64)
+    ends = np.cumsum([len(members) for members in classes]).tolist()
+    starts, rows, weights = _neighbour_rows(model, visit)
     lin = np.zeros(n)
     lin[model.lin_index] = model.lin_coeff
-    visit, classes = _class_steps(_colour_classes(model), neighbours)
-    # Built before any shard is forked, so that every shard shares it.
+    # Built before any shard is forked, so that every shard shares it.  The
+    # bound pointers keep their arrays alive.
     compiled = _compiled_kernel()
-    kernel = None if compiled is None else _bind_scan(compiled, visit, classes)
+    if compiled is not None:
+        pointers = (a.ctypes.data_as(ctypes.c_void_p) for a in (starts, rows, weights, visit))
+        compiled = partial(compiled, n, *pointers)
     job = _AnnealJob(
-        model, schedule.seed, schedule.betas(model), lin, neighbours, visit, classes, kernel, track_chains
+        model,
+        schedule.seed,
+        schedule.betas(model),
+        visit,
+        tuple(zip([0, *ends], ends)),
+        lin[visit],
+        tuple(zip(np.split(rows, starts[1:-1]), np.split(weights, starts[1:-1]))),
+        compiled,
     )
     ranges = _shard_ranges(schedule.restarts)
     parts = _run_sharded(job, ranges) if len(ranges) > 1 else [_anneal_range(job, *ranges[0])]
 
     distinct, counts = np.unique(np.concatenate([bits for bits, _, _ in parts]), axis=0, return_counts=True)
     records = _records(model, distinct.tolist(), counts.tolist())
-    if track_chains:
-        trajectory = np.concatenate([traj for _, traj, _ in parts], axis=1)
-        metadata["best_energy_per_sweep"] = trajectory.min(axis=1).tolist()
-        metadata["chain_best_per_sweep"] = trajectory.T.tolist()
-    else:
-        metadata["best_energy_per_sweep"] = np.min([traj for _, traj, _ in parts], axis=0).tolist()
+    metadata["best_energy_per_sweep"] = np.min([traj for _, traj, _ in parts], axis=0).tolist()
     metadata["accepted_per_sweep"] = np.sum([accepted for _, _, accepted in parts], axis=0).tolist()
     return SampleSet(records=records, metadata=metadata)
 
@@ -326,34 +327,18 @@ def _colour_classes(model: QuboModel) -> list[np.ndarray]:
     return [np.flatnonzero(colours == c) for c in range(max(colours, default=-1) + 1)]
 
 
-def _class_steps(classes: list[np.ndarray], neighbours) -> tuple[np.ndarray, tuple]:
-    """The visit order and, per class, its rows and pair updates.
-
-    Row ``p`` of the kernel's state is variable ``visit[p]``, so every
-    class is a contiguous range of rows.  A class's members are paired in
-    order, ``(0, 1), (2, 3), ...`` with a last one alone; a pair's update
-    is its neighbours' rows (ascending) and their couplings to the two
-    members as one ``(rows, 2)`` block.  Every ``delta`` the block meets
-    is -1, 0 or +1, so each product is exact and the block's product is
-    one rounding of ``t0 + t1``, however BLAS groups it.
-    """
-    visit = np.concatenate(classes)
+def _neighbour_rows(model: QuboModel, visit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row ``p`` of the scan is variable ``visit[p]``; its neighbour rows,
+    ascending, are ``rows[starts[p]:starts[p + 1]]``, with their couplings
+    to it in ``weights``: both orientations of every coupling, exactly
+    ``2 * nnz`` entries."""
     position = np.empty(len(visit), dtype=np.int64)
     position[visit] = np.arange(len(visit))
-    steps, a = [], 0
-    for members in classes:
-        pairs = []
-        for q in range(0, len(members), 2):
-            pair = members[q : q + 2].tolist()
-            rows = np.unique(np.concatenate([position[neighbours[j][0]] for j in pair]))
-            block = np.zeros((len(rows), len(pair)))
-            for k, j in enumerate(pair):
-                nb, w = neighbours[j]
-                block[np.searchsorted(rows, position[nb]), k] = w
-            pairs.append((q, rows, block))
-        steps.append((a, a + len(members), tuple(pairs)))
-        a += len(members)
-    return visit, tuple(steps)
+    own, other = position[model.q_i], position[model.q_j]
+    own, other = np.concatenate([own, other]), np.concatenate([other, own])
+    order = np.lexsort((other, own))
+    starts = np.concatenate([[0], np.cumsum(np.bincount(own, minlength=len(visit)))])
+    return starts, other[order], np.concatenate([model.q_c, model.q_c])[order]
 
 
 @cache
@@ -384,25 +369,9 @@ def _compiled_kernel():
         except (OSError, subprocess.SubprocessError):
             return None
     count, pointer = ctypes.c_int64, ctypes.c_void_p
-    function.argtypes = [count, count, *[pointer] * 5, count, *[pointer] * 8, count, count, count]
+    function.argtypes = [count, *[pointer] * 4, count, *[pointer] * 8, count, count, count]
     function.restype = None
     return function
-
-
-def _bind_scan(function, visit: np.ndarray, classes: tuple) -> partial:
-    """``function`` with the scan bound: the pairs in visit order, each
-    with its first row, its neighbour rows and their two couplings (the
-    second zero for a lone member), and the variable of every row.  The
-    bound pointers keep their arrays alive."""
-    pairs = [(a + q, rows, block) for a, _, steps in classes for q, rows, block in steps]
-    starts = np.array([first for first, _, _ in pairs] + [len(visit)], dtype=np.int64)
-    sizes = np.cumsum([0] + [len(rows) for _, rows, _ in pairs], dtype=np.int64)
-    rows = np.concatenate([rows for _, rows, _ in pairs]).astype(np.int64)
-    weights = np.zeros((len(rows), 2))
-    for (_, _, block), lo, hi in zip(pairs, sizes, sizes[1:]):
-        weights[lo:hi, : block.shape[1]] = block
-    arrays = (starts, sizes, rows, weights, visit.astype(np.int64))
-    return partial(function, len(visit), len(pairs), *(a.ctypes.data_as(ctypes.c_void_p) for a in arrays))
 
 
 class _AnnealJob(NamedTuple):
@@ -411,16 +380,15 @@ class _AnnealJob(NamedTuple):
     model: QuboModel
     seed: int
     betas: np.ndarray
-    lin: np.ndarray
-    # Per variable: its neighbours' indices and couplings.
-    neighbours: tuple[tuple[np.ndarray, np.ndarray], ...]
-    # The variable of each kernel row, and per class: its rows ``a .. b - 1``
-    # and its pair updates ``(q, rows, block)``; see ``_class_steps``.
+    # The variable of each row of the scan, and each class's rows ``a .. b - 1``.
     visit: np.ndarray
-    classes: tuple
-    # ``anneal_chain`` of ``_anneal.c`` with this scan bound, or None.
+    classes: tuple[tuple[int, int], ...]
+    # Per row: its linear term, and its neighbour rows and their couplings
+    # (see ``_neighbour_rows``).
+    lin: np.ndarray
+    neighbours: tuple[tuple[np.ndarray, np.ndarray], ...]
+    # ``anneal_chain`` of ``_anneal.c`` with the scan bound, or None.
     kernel: partial | None
-    track: bool
 
 
 def _available_cpus() -> int:
@@ -491,36 +459,35 @@ def _shard_child(job: _AnnealJob, lo: int, hi: int, reader, writer) -> None:
     writer.send(outcome)
 
 
-def _chain_bytes(n: int, sweeps: int) -> int:
+def _chain_bytes(n: int) -> int:
     """One chain's share of its group's state: its generator, at most
     ten ``n``-sized rows at once (five of state, a class's ``dE``,
-    ``delta`` and accept rows, a pair update's output and one passing
-    copy), its best energy and accepted flips per sweep, and a few
-    scalars."""
-    return 8 * (10 * n + 2 * sweeps + 10) + _GENERATOR_BYTES
+    ``delta`` and accept rows, a member update's output and one passing
+    copy) and a few scalars."""
+    return 8 * (10 * n + 10) + _GENERATOR_BYTES
 
 
 def _group_plan(n: int, sweeps: int, chains: int, compiled: bool = False) -> tuple[int, int]:
     """Chains per group, as even as they come, and sweeps per tape block.
 
-    A group's state takes at most three quarters of ``_TAPE_BUDGET``,
-    its tape block the rest: a block of every chain of the group for the
-    numpy step, of one chain for the compiled kernel, which runs the
-    group's chains one at a time.
+    A group's state, its chains' shares and its lowest best energy and
+    accepted flips per sweep, takes at most three quarters of
+    ``_TAPE_BUDGET``, its tape block the rest: a block of every chain of
+    the group for the numpy step, of one chain for the compiled kernel,
+    which runs the group's chains one at a time.
     """
-    state = _chain_bytes(n, sweeps)
-    groups = -(-chains // max(1, 3 * _TAPE_BUDGET // (4 * state)))
+    state, shared = _chain_bytes(n), 16 * (sweeps + 1)
+    groups = -(-chains // max(1, (3 * _TAPE_BUDGET // 4 - shared) // state))
     group = -(-chains // groups)
     tape_chains = 1 if compiled else group
-    block = max(1, min(sweeps, (_TAPE_BUDGET - group * state) // (8 * n * tape_chains)))
+    block = max(1, min(sweeps, (_TAPE_BUDGET - shared - group * state) // (8 * n * tape_chains)))
     return group, block
 
 
 def _anneal_range(job: _AnnealJob, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chains ``lo .. hi - 1``: best bits as ``uint8`` rows, the best
-    energy after each sweep, per chain if the job tracks chains, else
-    the minimum over these chains, and the accepted flips of each sweep
-    summed over these chains."""
+    """Chains ``lo .. hi - 1``: best bits as ``uint8`` rows, the lowest
+    best energy over these chains after each sweep, and the accepted
+    flips of each sweep summed over these chains."""
     group, block = _group_plan(job.model.n_vars, len(job.betas), hi - lo, job.kernel is not None)
     bits, trajectories, accepted = [], [], 0
     for g0 in range(lo, hi, group):
@@ -528,10 +495,8 @@ def _anneal_range(job: _AnnealJob, lo: int, hi: int) -> tuple[np.ndarray, np.nda
         rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
         best_bits, trajectory, flips = _anneal_group(job, rngs, block)
         bits.append(best_bits)
-        trajectories.append(trajectory if job.track else trajectory.min(axis=1))
+        trajectories.append(trajectory)
         accepted = accepted + flips
-    if job.track:
-        return np.concatenate(bits), np.concatenate(trajectories, axis=1), accepted
     return np.concatenate(bits), np.min(trajectories, axis=0), accepted
 
 
@@ -548,8 +513,8 @@ def _thresholds(rng, betas: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _anneal_group(job: _AnnealJob, rngs, block: int):
     """Anneal one group of chains: their best bits as ``uint8`` rows, the
-    best energy after each sweep as ``(sweeps + 1, chains)`` and the
-    accepted flips of each sweep summed over the group.
+    lowest best energy over the group after each sweep and the accepted
+    flips of each sweep summed over the group.
 
     Each chain draws its starting bits and switches them on in index
     order, from ``field = lin`` and ``energy = constant``, with the same
@@ -559,16 +524,18 @@ def _anneal_group(job: _AnnealJob, rngs, block: int):
     rows in visit order, chains last.
     """
     n, g = len(job.lin), len(rngs)
-    spin = np.empty((n, g))
+    bits = np.empty((n, g))
     for c, rng in enumerate(rngs):
-        spin[:, c] = rng.integers(0, 2, n)
+        bits[:, c] = rng.integers(0, 2, n)
+    spin = bits[job.visit]
     field = np.repeat(job.lin[:, None], g, axis=1)
     cur = np.full(g, job.model.constant)
     push = np.empty((max(len(nb) for nb, _ in job.neighbours), g))
-    for bit, f, (nb, w) in zip(spin, field, job.neighbours):
-        np.add(cur, f, out=cur, where=bit > 0)
+    # The row of each variable, in index order.
+    for p in np.argsort(job.visit):
+        (nb, w), bit = job.neighbours[p], spin[p]
+        np.add(cur, field[p], out=cur, where=bit > 0)
         field[nb] += np.einsum("i,j->ij", w, bit, out=push[: len(nb)])
-    spin, field = spin[job.visit], field[job.visit]
     spin *= -2.0
     spin += 1.0
     run = _numpy_sweeps if job.kernel is None else _compiled_sweeps
@@ -583,32 +550,34 @@ def _numpy_sweeps(job: _AnnealJob, rngs, block: int, spin, field, cur):
 
     A sweep visits the classes in row order.  One step takes ``dE`` for
     every member of a class, accepts each against the chain's own
-    threshold for that (sweep, variable), flips the accepted members and
-    adds each pair's ``block @ delta`` to the pair's neighbour rows, in
-    pair order: no product of a step reaches a member of its own class,
-    and each sum has two terms, so no field depends on the group's shape.
-    The energy after each member is one ``cumsum`` of the accepted
-    ``dE`` along the class, the chain of adds a member-by-member visit
-    makes.  The best state is settled once per sweep: the first step
-    that reached the sweep's lowest energy, if that beats the best so
-    far, holds the rows up to its own from the sweep's end and the rest
-    from the sweep's start, because a sweep visits each row once, in
+    threshold for that (sweep, variable) and flips the accepted members.
+    Then, member by member, each member that flipped in some chain adds
+    ``w * delta`` to its neighbour rows, ``delta`` its spin before the
+    step times its accept flag: no add of a step reaches a member of its
+    own class, and each is one exact product and one rounding, so no
+    field depends on the group's shape.  Each step logs the accepted
+    ``dE`` of its members; at the sweep's end one ``cumsum`` over the log
+    gives the energy after each row, the chain of adds a member-by-member
+    visit makes.  The best state is settled once per sweep: the first
+    step that reached the sweep's lowest energy, if that beats the best
+    so far, holds the rows up to its own from the sweep's end and the
+    rest from the sweep's start, because a sweep visits each row once, in
     order.  For the same reason the accepted flips of a sweep are the
     entries its end state changed.
     """
     n, g, sweeps = len(job.lin), len(rngs), len(job.betas)
     best, best_spin = cur.copy(), spin.copy()
     sweep_start = np.empty_like(spin)
-    # Row p + 1 holds the energy after visiting row p, row 0 the sweep's start.
+    # Row 0 holds the sweep's start energy and row p + 1 the accepted dE of
+    # row p, until the sweep's cumsum makes it the energy after row p.
     energy_log = np.empty((n + 1, g))
     energy_log[0] = cur
-    trajectory = np.empty((sweeps + 1, g))
-    trajectory[0] = cur
+    trajectory = np.empty(sweeps + 1)
+    trajectory[0] = cur.min()
     accepted = np.empty(sweeps, dtype=np.int64)
     tape, draw = np.empty((block, n, g)), np.empty((block, n))
-    # A pair's rows include each member's neighbours.
-    push = np.empty((max(len(r) for *_, pairs in job.classes for _, r, _ in pairs), g))
-    widest = max(b - a for a, b, _ in job.classes)
+    push = np.empty((max(len(nb) for nb, _ in job.neighbours), g))
+    widest = max(b - a for a, b in job.classes)
     de, delta = np.empty((widest, g)), np.empty((widest, g))
     accept = np.empty((widest, g), dtype=bool)
     order, chains = np.arange(n, dtype=np.int32)[:, None], np.arange(g)
@@ -622,24 +591,25 @@ def _numpy_sweeps(job: _AnnealJob, rngs, block: int, spin, field, cur):
         for t in range(t0, t0 + width):
             np.copyto(sweep_start, spin)
             thresholds = tape[t - t0]
-            for a, b, pairs in job.classes:
+            for a, b in job.classes:
                 m = b - a
                 s = spin[a:b]
                 d = np.multiply(field[a:b], s, out=de[:m])
                 ok = np.less(d, thresholds[a:b], out=accept[:m])
                 np.multiply(d, ok, out=energy_log[a + 1 : b + 1])
-                np.cumsum(energy_log[a : b + 1], axis=0, out=energy_log[a : b + 1])
                 moved = np.multiply(s, ok, out=delta[:m])
-                for q, rows, weights in pairs:
-                    field[rows] += np.matmul(weights, moved[q : q + 2], out=push[: len(rows)])
+                for k in np.flatnonzero(ok.any(axis=1)).tolist():
+                    nb, w = job.neighbours[a + k]
+                    field[nb] += np.einsum("i,j->ij", w, moved[k], out=push[: len(nb)])
                 np.negative(s, out=s, where=ok)
+            np.cumsum(energy_log, axis=0, out=energy_log)
             first = energy_log[1:].argmin(axis=0)
             low = energy_log[first + 1, chains]
             improved = low < best
             np.copyto(best, low, where=improved)
             np.copyto(best_spin, sweep_start, where=improved)
             np.copyto(best_spin, spin, where=improved & (order <= first))
-            trajectory[t + 1] = best
+            trajectory[t + 1] = best.min()
             accepted[t] = np.count_nonzero(spin != sweep_start)
             energy_log[0] = energy_log[n]
     best_bits = np.empty((g, n), dtype=np.uint8)
@@ -656,8 +626,8 @@ def _compiled_sweeps(job: _AnnealJob, rngs, block: int, spin, field, cur):
     best_spin = spin.copy()
     # Per chain: the current energy, then the best.
     energy = np.repeat(cur[:, None], 2, axis=1)
-    trajectory = np.empty((g, sweeps + 1))
-    trajectory[:, 0] = cur
+    trajectory = np.full(sweeps + 1, np.inf)
+    trajectory[0] = cur.min()
     accepted = np.zeros(sweeps, dtype=np.int64)
     tape, start = np.empty((block, n)), np.empty(n)
     arrays = (tape, start, spin, field, best_spin, energy, trajectory, accepted)
@@ -669,7 +639,7 @@ def _compiled_sweeps(job: _AnnealJob, rngs, block: int, spin, field, cur):
             run(c, t0, width)
     best_bits = np.empty((g, n), dtype=np.uint8)
     best_bits[:, job.visit] = best_spin < 0
-    return best_bits, trajectory.T, accepted
+    return best_bits, trajectory, accepted
 
 
 def _sa_metadata(model: QuboModel, schedule: AnnealSchedule, b0: float, b1: float) -> dict:

@@ -473,6 +473,29 @@ def test_seed_env_var_sets_default(minimal_instance_path, tmp_path, monkeypatch)
     assert doc["metadata"]["seed"] == 77
 
 
+def test_one_parser_carries_nothing_between_commands(minimal_instance_path, tmp_path, monkeypatch):
+    # main builds its parser once per process; each call still starts
+    # from the defaults, with only its own command's options.
+    import tsvrp.cli as cli
+
+    monkeypatch.delenv("TSVRP_SEED", raising=False)
+    solve = ["solve", "--instance", minimal_instance_path, "--sampler", "sa", "--sweeps", "10", "--restarts", "2"]
+    parser = cli._parser()
+    main([*solve, "--seed", "5", "--lambda", "3.0", "--out", str(tmp_path / "a")])
+    assert main(["build", "--instance", minimal_instance_path, "--out", str(tmp_path / "m.json")]) == 0
+    main([*solve, "--out", str(tmp_path / "b")])
+    assert cli._parser() is parser
+    first, built, second = (
+        json.loads(path.read_text())["run_config"]
+        for path in (tmp_path / "a.samples.json", tmp_path / "m.json", tmp_path / "b.samples.json")
+    )
+    assert (first["seed"], first["lambda"]) == (5, 3.0)
+    assert (built["seed"], built["lambda"]) == (None, 1.0)
+    assert "sampler" not in built and "sweeps" not in built
+    assert (second["seed"], second["lambda"], second["sampler"]) == (0, 1.0, "sa")
+    assert json.loads((tmp_path / "b.samples.json").read_text())["metadata"]["seed"] == 0
+
+
 @pytest.mark.parametrize(
     "flag, env",
     [(["--seed", "-1"], None), ([], "-5"), ([], "abc")],

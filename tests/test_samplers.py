@@ -89,14 +89,15 @@ def test_sa_chunking_does_not_change_results(monkeypatch):
 
 
 def test_sa_trajectory_is_non_increasing_per_chain():
+    # Chain r of a run is the one-chain run at seed + r (see
+    # test_every_chain_is_the_one_chain_run_at_its_seed).
     case = three_city_dense()
     params = standard_parameters(case.instance.costs, case.lam)
     model = build_model(case.instance, params)
-    schedule = AnnealSchedule(sweeps=60, restarts=6, seed=9)
-    result = simulated_anneal(model, schedule, track_chains=True)
-    chains = result.metadata["chain_best_per_sweep"]
-    assert len(chains) == 6
-    for chain in chains:
+    for r in range(6):
+        result = simulated_anneal(model, AnnealSchedule(sweeps=60, restarts=1, seed=9 + r))
+        chain = result.metadata["best_energy_per_sweep"]
+        assert len(chain) == 61
         assert all(later <= earlier + 1e-12 for earlier, later in zip(chain, chain[1:]))
 
 
@@ -106,15 +107,10 @@ def test_samplers_on_a_model_without_free_variables():
     assert model.n_vars == 0
     constant = model.constant
     schedule = AnnealSchedule(sweeps=7, restarts=3, seed=1)
-    tracked = simulated_anneal(model, schedule, track_chains=True)
-    assert tracked.to_document()["records"] == [["", constant, 3]]
-    assert tracked.metadata["best_energy_per_sweep"] == [constant] * 8
-    assert tracked.metadata["chain_best_per_sweep"] == [[constant] * 8] * 3
-    untracked = simulated_anneal(model, schedule)
-    assert untracked.to_document()["records"] == [["", constant, 3]]
-    assert untracked.metadata["best_energy_per_sweep"] == [constant] * 8
-    assert "chain_best_per_sweep" not in untracked.metadata
-    assert tracked.metadata["accepted_per_sweep"] == untracked.metadata["accepted_per_sweep"] == [0] * 7
+    result = simulated_anneal(model, schedule)
+    assert result.to_document()["records"] == [["", constant, 3]]
+    assert result.metadata["best_energy_per_sweep"] == [constant] * 8
+    assert result.metadata["accepted_per_sweep"] == [0] * 7
     assert samplers_module._colour_classes(model) == []
     assert exhaustive_solve(model).to_document()["records"] == [["", constant, 1]]
 
@@ -157,14 +153,13 @@ def test_sa_matches_exhaustive_on_twenty_variables():
     # Calibration check: 100 seeded runs (sweeps=2000, restarts=10, seeds
     # 0..99) must hit the exhaustive optimum at least 95 times.  A chain
     # is a pure function of its seed and run k uses chain seeds k..k+9,
-    # so simulating the 109 distinct chains once and taking sliding-window
-    # minima reproduces every run's best exactly.
+    # so simulating the 109 distinct chains once, each as a one-chain run,
+    # and taking sliding-window minima reproduces every run's best exactly.
     model = twenty_variable_model()
     assert model.n_vars == 20
     floor = exhaustive_solve(model).records[0].energy
-    schedule = AnnealSchedule(sweeps=2000, restarts=109, seed=0)
-    result = simulated_anneal(model, schedule, track_chains=True)
-    chain_best = [chain[-1] for chain in result.metadata["chain_best_per_sweep"]]
+    chains = [simulated_anneal(model, AnnealSchedule(sweeps=2000, restarts=1, seed=r)) for r in range(109)]
+    chain_best = [chain.metadata["best_energy_per_sweep"][-1] for chain in chains]
     hits = sum(
         1 for k in range(100) if abs(min(chain_best[k : k + 10]) - floor) <= 1e-9
     )
@@ -437,14 +432,15 @@ def _reference_colour_classes(coupling):
     return [[j for j in range(len(colours)) if colours[j] == c] for c in range(max(colours, default=-1) + 1)]
 
 
-def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
+def _reference_anneal(model, schedule, budget=200_000_000):
     """The chromatic scan written out member by member: chains-first state,
     the whole threshold tape ``-ln(u) / beta`` of a chunk of chains drawn
     up front, and best-ever tracking after every flip.  A sweep visits the
-    colour classes in order and each class's members in ascending order,
-    in pairs; once both members of a pair are visited, every field takes
-    the pair's ``t0 + t1`` in one add.  Its start switches each chain's
-    set bits on in index order, as the kernels' does."""
+    colour classes in order and each class's members in ascending order;
+    right after a member flips, every field takes ``w * d`` in its own
+    add, where ``d`` is the member's spin before the flip.  Its start
+    switches each chain's set bits on in index order, as the kernels'
+    does."""
     from collections import Counter
 
     from tsvrp.samplers import SampleRecord, SampleSet, _sa_metadata
@@ -453,15 +449,16 @@ def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
     lin, coupling = model.dense_arrays()
     betas = schedule.betas(model)
     sweeps, restarts = schedule.sweeps, schedule.restarts
-    best_bits_all, trajectory = [], []
+    best_bits_all = []
     b0, b1 = schedule.resolved_betas(model)
     metadata = _sa_metadata(model, schedule, b0, b1)
     if n == 0:
         records = (SampleRecord((), model.constant, restarts),)
         return SampleSet(records=records, metadata=metadata)
 
-    pairs = [c[q : q + 2] for c in _reference_colour_classes(coupling) for q in range(0, len(c), 2)]
+    visit = [j for c in _reference_colour_classes(coupling) for j in c]
     accepted = np.zeros(sweeps, dtype=np.int64)
+    trajectory = np.full(sweeps + 1, np.inf)
     chunk = max(1, min(restarts, budget // (sweeps * n * 8)))
     for base in range(0, restarts, chunk):
         size = min(chunk, restarts - base)
@@ -481,35 +478,29 @@ def _reference_anneal(model, schedule, track_chains=False, budget=200_000_000):
             field_now[on] += coupling[j]
         best = cur.copy()
         best_bits = bits.copy()
-        chunk_traj = [best.copy()]
+        chunk_traj = [best.min()]
         for t in range(sweeps):
-            for pair in pairs:
-                delta = np.zeros((size, len(pair)))
-                for k, j in enumerate(pair):
-                    de = field_now[:, j] * (1.0 - 2.0 * bits[:, j])
-                    rows = np.nonzero(de < thresholds[t, j])[0]
-                    accepted[t] += rows.size
-                    if rows.size:
-                        delta[rows, k] = 1.0 - 2.0 * bits[rows, j]
-                        bits[rows, j] += delta[rows, k]
-                        cur[rows] += de[rows]
-                        improved = rows[cur[rows] < best[rows]]
-                        if improved.size:
-                            best[improved] = cur[improved]
-                            best_bits[improved] = bits[improved]
-                # The pair's members share no coupling, so neither field moved.
-                field_now += delta @ coupling[pair]
-            chunk_traj.append(best.copy())
+            for j in visit:
+                de = field_now[:, j] * (1.0 - 2.0 * bits[:, j])
+                rows = np.nonzero(de < thresholds[t, j])[0]
+                accepted[t] += rows.size
+                if rows.size:
+                    d = 1.0 - 2.0 * bits[rows, j]
+                    bits[rows, j] += d
+                    cur[rows] += de[rows]
+                    improved = rows[cur[rows] < best[rows]]
+                    if improved.size:
+                        best[improved] = cur[improved]
+                        best_bits[improved] = bits[improved]
+                    field_now[rows] += np.multiply.outer(d, coupling[j])
+            chunk_traj.append(best.min())
         best_bits_all.append(best_bits)
-        trajectory.append(np.stack(chunk_traj, axis=0))
+        np.minimum(trajectory, chunk_traj, out=trajectory)
 
     stacked = np.vstack(best_bits_all).astype(int)
     counts = Counter(tuple(map(int, row)) for row in stacked)
     records = tuple(SampleRecord(bits, model.energy(bits), m) for bits, m in counts.items())
-    full_trajectory = np.concatenate(trajectory, axis=1)
-    metadata["best_energy_per_sweep"] = full_trajectory.min(axis=1).tolist()
-    if track_chains:
-        metadata["chain_best_per_sweep"] = full_trajectory.T.tolist()
+    metadata["best_energy_per_sweep"] = trajectory.tolist()
     metadata["accepted_per_sweep"] = accepted.tolist()
     return SampleSet(records=records, metadata=metadata)
 
@@ -568,16 +559,14 @@ def _kernel(name):
 def _assert_same_anneal(model, schedule):
     import multiprocessing
 
-    for track in (True, False):
-        expected = _reference_anneal(model, schedule, track).to_document()
-        for kernel in KERNELS:
-            with _kernel(kernel):
-                actual = simulated_anneal(model, schedule, track_chains=track)
-            assert actual.to_document() == expected, kernel
-            assert ("chain_best_per_sweep" in actual.metadata) == track
-            accepted = actual.metadata["accepted_per_sweep"]
-            assert len(accepted) == schedule.sweeps and all(type(k) is int for k in accepted)
-            assert not multiprocessing.active_children()
+    expected = _reference_anneal(model, schedule).to_document()
+    for kernel in KERNELS:
+        with _kernel(kernel):
+            actual = simulated_anneal(model, schedule)
+        assert actual.to_document() == expected, kernel
+        accepted = actual.metadata["accepted_per_sweep"]
+        assert len(accepted) == schedule.sweeps and all(type(k) is int for k in accepted)
+        assert not multiprocessing.active_children()
 
 
 def test_planted_fleet_model_is_fleet_sized():
@@ -597,7 +586,8 @@ def test_kernel_matches_reference_on_every_case(monkeypatch):
         n = model.n_vars
         if n == 0:
             continue
-        monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", 3 * samplers_module._chain_bytes(n, schedule.sweeps))
+        budget = 3 * samplers_module._chain_bytes(n) + 16 * (schedule.sweeps + 1)
+        monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", budget)
         group, block = samplers_module._group_plan(n, schedule.sweeps, schedule.restarts)
         assert group == 2
         assert samplers_module._group_plan(n, schedule.sweeps, schedule.restarts, compiled=True)[0] == 2
@@ -619,14 +609,39 @@ def test_kernel_matches_reference_across_shards(monkeypatch, shards, restarts):
 def test_kernel_matches_reference_across_tape_blocks(monkeypatch, budget):
     # From one chain with one sweep per block up to whole groups.  On the
     # fleet model a budget of 1 steps one-chain groups through classes of
-    # five members, where a product over a whole class rounds differently
-    # from the same product over more chains.  The compiled kernel's
+    # five members, whose adds to a shared neighbour row must come in
+    # member order whatever the group's width.  The compiled kernel's
     # one-chain blocks hold one sweep at a budget of 1 and six fleet
     # sweeps at 30,000.
     _force_shards(monkeypatch, 2)
     monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", budget)
     for model in (demo_model(), planted_fleet_model()):
         _assert_same_anneal(model, AnnealSchedule(sweeps=11, restarts=9, seed=3))
+
+
+@pytest.mark.parametrize("factory", [demo_model, planted_fleet_model])
+def test_every_chain_is_the_one_chain_run_at_its_seed(factory):
+    # Chain r draws everything from seed + r, so a run of 7 chains, one
+    # numpy group in lockstep, holds the records of the seven one-chain
+    # runs at seed .. seed + 6, the lowest of their trajectories and the
+    # sum of their accepted flips.  Each one-chain run is held to the
+    # reference, which checks every chain's own trajectory.
+    from collections import Counter
+
+    model = factory()
+    schedule = AnnealSchedule(sweeps=9, restarts=7, seed=20240817)
+    singles = [AnnealSchedule(sweeps=9, restarts=1, seed=schedule.seed + r) for r in range(7)]
+    expected = [_reference_anneal(model, single).to_document() for single in singles]
+    for kernel in KERNELS:
+        with _kernel(kernel):
+            whole = simulated_anneal(model, schedule)
+            chains = [simulated_anneal(model, single) for single in singles]
+        assert [chain.to_document() for chain in chains] == expected, kernel
+        assert {r.bits: r.multiplicity for r in whole.records} == Counter(c.records[0].bits for c in chains)
+        trajectories = [c.metadata["best_energy_per_sweep"] for c in chains]
+        assert whole.metadata["best_energy_per_sweep"] == np.min(trajectories, axis=0).tolist()
+        accepted = [c.metadata["accepted_per_sweep"] for c in chains]
+        assert whole.metadata["accepted_per_sweep"] == np.sum(accepted, axis=0).tolist()
 
 
 @pytest.mark.parametrize("factory, count, widest", [(demo_model, 16, 9), (planted_fleet_model, 51, 5)])
@@ -646,9 +661,11 @@ def test_colour_classes_are_a_proper_colouring(factory, count, widest):
 
 @pytest.mark.parametrize("shards", [1, 2])
 def test_start_energies_match_the_model(monkeypatch, shards):
-    # Each chain's first trajectory entry is the energy of the bits its own
-    # generator draws first, evaluated by the model's sparse terms.  Neither
-    # model has a constant, so each gets one, which a dropped constant shows.
+    # Each chain's first trajectory entry, that of its one-chain run, is the
+    # energy of the bits its own generator draws first, evaluated by the
+    # model's sparse terms; a run's first entry is the lowest of them.
+    # Neither model has a constant, so each gets one, which a dropped
+    # constant shows.
     from tsvrp.samplers import ENERGY_TOL
 
     _force_shards(monkeypatch, shards)
@@ -657,10 +674,16 @@ def test_start_energies_match_the_model(monkeypatch, shards):
         model.constant = 1.25
         for kernel in KERNELS:
             with _kernel(kernel):
-                result = simulated_anneal(model, schedule, track_chains=True)
-            for c, chain in enumerate(result.metadata["chain_best_per_sweep"]):
+                run = simulated_anneal(model, schedule).metadata["best_energy_per_sweep"]
+                chains = [
+                    simulated_anneal(model, AnnealSchedule(sweeps=3, restarts=1, seed=schedule.seed + c))
+                    for c in range(schedule.restarts)
+                ]
+            starts = [chain.metadata["best_energy_per_sweep"][0] for chain in chains]
+            for c, start in enumerate(starts):
                 bits = np.random.Generator(np.random.PCG64(schedule.seed + c)).integers(0, 2, model.n_vars)
-                assert abs(chain[0] - model.energy(tuple(bits.tolist()))) <= ENERGY_TOL
+                assert abs(start - model.energy(tuple(bits.tolist()))) <= ENERGY_TOL
+            assert run[0] == min(starts)
 
 
 def test_every_stored_energy_is_the_model_energy():
@@ -752,7 +775,7 @@ def test_anneal_falls_back_to_numpy_without_a_working_compiler(monkeypatch, tmp_
     # warning, and neither a temporary directory nor a child left behind.
     schedule = AnnealSchedule(sweeps=20, restarts=9, seed=3)
     model = demo_model()
-    expected = simulated_anneal(model, schedule, track_chains=True).to_document()
+    expected = simulated_anneal(model, schedule).to_document()
     bin_dir, scratch = tmp_path / "bin", tmp_path / "tmp"
     bin_dir.mkdir()
     scratch.mkdir()
@@ -765,7 +788,7 @@ def test_anneal_falls_back_to_numpy_without_a_working_compiler(monkeypatch, tmp_
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert simulated_anneal(model, schedule, track_chains=True).to_document() == expected
+            assert simulated_anneal(model, schedule).to_document() == expected
         assert samplers_module._compiled_kernel() is None
     finally:
         samplers_module._compiled_kernel.cache_clear()
@@ -793,15 +816,17 @@ def test_group_plan_stays_within_the_budget(monkeypatch):
         monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", budget)
         for n in (3, 84, 216):
             for sweeps in (1, 40, 1000):
-                state = samplers_module._chain_bytes(n, sweeps)
-                if state + 8 * n > budget:
+                # Per chain its share of the state; per group the lowest
+                # best energy and the accepted flips of each sweep.
+                state, shared = samplers_module._chain_bytes(n), 16 * (sweeps + 1)
+                if state + shared + 8 * n > budget:
                     continue
                 for chains in (1, 7, 2000, 10**6):
                     for compiled in (False, True):
                         group, block = samplers_module._group_plan(n, sweeps, chains, compiled)
                         assert 1 <= group <= chains and 1 <= block <= sweeps
                         tape_chains = 1 if compiled else group
-                        assert group * state + 8 * n * tape_chains * block <= budget
+                        assert shared + group * state + 8 * n * tape_chains * block <= budget
 
 
 def test_sa_memory_does_not_grow_with_sweeps_times_restarts(monkeypatch):
