@@ -200,6 +200,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.max_nodes < 1:
+        raise UsageError(f"--max-nodes must be at least 1, got {args.max_nodes}")
     inst = _load_instance(args)
     try:
         best_cost, plans = oracle.enumerate_optimal_routes(

@@ -3,14 +3,18 @@
 Each distinct vehicle signature (start and end city, capacity box,
 start load and the vehicle's own forbidden slots) has its timelines
 generated once, city by city under the instance's durations, windows
-and capacity bounds, against the full customer set.  A timeline the
-per-vehicle checker rejects is dropped.  The search then joins one
-timeline per vehicle, in vehicle id order, by branch and bound: each
-vehicle tries its timelines cheapest first, skips those that claim a
-customer an earlier vehicle took, and stops once the partial cost plus
-the cheapest timeline of every later vehicle exceeds the best plan so
-far.  Every complete plan is vetted by the same feasibility checker used
-for decoded samples, so oracle and checker can never drift apart.
+and capacity bounds, against the full customer set.  The generator
+offers a late leg or stay only where a window or the horizon blocks the
+nominal slot, and ends a two-state tour once it is back at its start,
+since the per-vehicle checker rejects every extension past either; that
+checker still vets each timeline, and one it rejects is dropped.  The
+search then joins one timeline per vehicle, in vehicle id order, by
+branch and bound: each vehicle tries its timelines cheapest first, skips
+those that claim a customer an earlier vehicle took, and stops once the
+partial cost plus the cheapest timeline of every later vehicle exceeds
+the best plan so far.  Every complete plan is vetted by the same
+feasibility checker used for decoded samples, so oracle and checker can
+never drift apart.
 
 The node budget counts one node per timeline extension step and one per
 join node (a timeline placed into a partial plan).
@@ -27,6 +31,7 @@ from .decoder import (
     Event,
     RoutePlan,
     _vehicle_checks,
+    _window_blocks,
     check_feasibility,
     route_cost,
 )
@@ -48,22 +53,30 @@ class SearchCapExceeded(RuntimeError):
 class _Search:
     inst: Instance
     mode: str
-    budget: int
+    cap: int
+    nodes: int = 0
 
     def tick(self) -> None:
-        self.budget -= 1
-        if self.budget < 0:
-            raise SearchCapExceeded("route enumeration exceeded its node cap")
+        self.nodes += 1
+        if self.nodes > self.cap:
+            raise SearchCapExceeded(f"route enumeration exceeded its node cap of {self.cap}")
 
 
-def _slot_choices(search: _Search, nominal: int, latest: int) -> range:
-    """Candidate intervals for the next event: exactly the nominal slot in
-    strict mode, the nominal slot or any later one otherwise."""
-    if search.mode == MODE_STRICT and nominal <= latest:
-        return range(nominal, nominal + 1)
+def _slot_choices(search: _Search, vehicle: Vehicle, city: int, nominal: int) -> list[int]:
+    """Open intervals for the vehicle's next event at ``city``.
+
+    An open nominal slot is the only choice: the checker rejects a late
+    leg or stay unless a window or the horizon blocks the nominal slot
+    (``_window_blocks``).  A blocked one gives the later open slots up to
+    T in window-tolerant mode and nothing in strict mode.
+    """
+    inst = search.inst
+    if not _window_blocks(inst, vehicle.id, nominal, city):
+        return [nominal]
     if search.mode == MODE_STRICT:
-        return range(0)
-    return range(nominal, latest + 1)
+        return []
+    later = range(nominal + 1, inst.horizon + 1)
+    return [tau for tau in later if not inst.windows.forbids(vehicle.id, tau, city)]
 
 
 def _timelines(search: _Search, vehicle: Vehicle, remaining: frozenset[int]):
@@ -72,6 +85,11 @@ def _timelines(search: _Search, vehicle: Vehicle, remaining: frozenset[int]):
     Every event is one search node.  A single-state timeline chains legs
     between plain events; a two-state timeline puts a stay between each
     arrival and the next departure, and its legs run from departures.
+    Only what the per-vehicle checker can admit is generated: legs and
+    stays take the slots of :func:`_slot_choices`, and a two-state tour
+    that closes at its start city ends there.  Extensions only append
+    events, so each pruned subtree keeps the late pair or the mid-route
+    return that the checker rejects.
     """
     inst = search.inst
     t = inst.horizon
@@ -91,15 +109,13 @@ def _timelines(search: _Search, vehicle: Vehicle, remaining: frozenset[int]):
         else:
             if e is None or city == e:
                 yield list(events), claimed, cost
-            if city == e:
-                return  # the trip ends at the destination
+            if city == e or state == ARRIVAL and city == vehicle.start_city:
+                return  # the trip ends at the destination, or the tour closed
         if tau >= t:
             return
         if stateful and state == ARRIVAL:
             hold = inst.stay(tau, city)
-            for dep in _slot_choices(search, tau + hold, t):
-                if inst.windows.forbids(vehicle.id, dep, city):
-                    continue
+            for dep in _slot_choices(search, vehicle, city, tau + hold):
                 events.append(Event(dep, city, DEPARTURE, capacity))
                 yield from extend(events, claimed, cost)
                 events.pop()
@@ -117,9 +133,7 @@ def _timelines(search: _Search, vehicle: Vehicle, remaining: frozenset[int]):
             if not all(l <= x <= h for x, l, h in zip(cap, lo, hi)):
                 continue
             leg_cost = inst.cost(tau, a, city)
-            for arr in _slot_choices(search, tau + nominal, t):
-                if inst.windows.forbids(vehicle.id, arr, a):
-                    continue
+            for arr in _slot_choices(search, vehicle, a, tau + nominal):
                 events.append(Event(arr, a, arrival, cap))
                 newly = claimed | {a} if a in remaining else claimed
                 yield from extend(events, newly, cost + leg_cost)
@@ -196,7 +210,7 @@ def enumerate_optimal_routes(
     raises :class:`SearchCapExceeded` past ``max_nodes`` search nodes,
     counting every timeline extension step and every join node.
     """
-    search = _Search(inst=inst, mode=mode, budget=max_nodes)
+    search = _Search(inst=inst, mode=mode, cap=max_nodes)
     table = _timeline_table(search)
     last = len(table) - 1
     # floor[k]: the cheapest cost vehicles k.. can add, a bound for the cut.

@@ -360,7 +360,7 @@ def test_oracle_infeasible_instance(tmp_path):
     assert json.loads(out.read_text())["plans"] == []
 
 
-def test_oracle_cap_refusal(three_city_path, tmp_path):
+def test_oracle_cap_refusal(three_city_path, tmp_path, capsys):
     code = main(
         [
             "oracle",
@@ -371,6 +371,18 @@ def test_oracle_cap_refusal(three_city_path, tmp_path):
         ]
     )
     assert code == 2
+    assert "exceeded its node cap of 2" in capsys.readouterr().err
+
+
+def test_oracle_max_nodes_below_one_is_a_usage_error(three_city_path, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for value in ("0", "-5"):
+        code = main(["oracle", "--instance", three_city_path, "--max-nodes", value, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--max-nodes must be at least 1, got {value}" in err
+        assert "node cap" not in err
+    assert not out.exists()
 
 
 def test_stats_on_solver_output(three_city_path, tmp_path):

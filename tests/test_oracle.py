@@ -1,10 +1,16 @@
-"""The route oracle's branch-and-bound join against the search it replaced.
+"""The route oracle against the generator and the search it replaced.
 
-``_reference_search`` is the earlier per-partial-assignment search: for
-every assignment of vehicles 1..k it regenerates the timelines of
-vehicle k+1 under the customers still open, and folds every feasible
-complete plan into the optimum set in depth-first order.  The join must
-return the same optimal cost and the same plans.
+``_reference_timelines`` is the generator before its two prunes: it
+offers every slot from the nominal one to T in window-tolerant mode, and
+its two-state tours go on past an arrival back at the start.  Filtered
+by the per-vehicle checker, it must give exactly the oracle's timeline
+table, in the same relative order.  ``_reference_search`` is the earlier
+per-partial-assignment search over that generator: for every assignment
+of vehicles 1..k it regenerates the timelines of vehicle k+1 under the
+customers still open, and folds every feasible complete plan into the
+optimum set in depth-first order.  The join must return the same optimal
+cost and the same plans.  Hand-built instances pin each prune in both
+modes.
 """
 
 from __future__ import annotations
@@ -23,25 +29,78 @@ from tsvrp import (
     enumerate_optimal_routes,
     route_cost,
 )
-from tsvrp.decoder import MODE_STRICT, MODE_WINDOW_TOLERANT, RoutePlan
+from tsvrp.decoder import MODE_STRICT, MODE_WINDOW_TOLERANT, Event, RoutePlan, _vehicle_checks
 from tsvrp.demo import delivery_demo_instance
 from tsvrp.oracle import (
     _TIE_TOL,
     DEFAULT_MAX_NODES,
     SearchCapExceeded,
     _Search,
+    _slot_choices,
     _timeline_table,
     _timelines,
 )
+from tsvrp.qubo import ARRIVAL, DEPARTURE, PLAIN
 
-from cases import load_cases
+from cases import _costs, _durations, _instance, _stays, load_cases
 from strategies import random_instance
 
 MODES = (MODE_STRICT, MODE_WINDOW_TOLERANT)
 
 
+def _reference_timelines(inst, mode, vehicle, remaining):
+    """Yield (events, claimed_customers, cost) as the unpruned generator did."""
+    t = inst.horizon
+    e = vehicle.end_city
+    lo, hi = vehicle.capacity_lower, vehicle.capacity_upper
+    stateful = inst.stateful
+    arrival = ARRIVAL if stateful else PLAIN
+
+    def slots(nominal):
+        if mode == MODE_STRICT:
+            return range(nominal, nominal + 1) if nominal <= t else range(0)
+        return range(nominal, t + 1)
+
+    def extend(events, claimed, cost):
+        tau, city, state, capacity = events[-1]
+        if state == DEPARTURE:
+            if e is None or e == vehicle.start_city and len(events) == 1:
+                yield list(events), claimed, cost
+        else:
+            if e is None or city == e:
+                yield list(events), claimed, cost
+            if city == e:
+                return
+        if tau >= t:
+            return
+        if stateful and state == ARRIVAL:
+            for dep in slots(tau + inst.stay(tau, city)):
+                if not inst.windows.forbids(vehicle.id, dep, city):
+                    events.append(Event(dep, city, DEPARTURE, capacity))
+                    yield from extend(events, claimed, cost)
+                    events.pop()
+            return
+        targets = set(remaining - claimed)
+        if e is not None:
+            targets.add(e)
+        elif stateful:
+            targets.add(vehicle.start_city)
+        for a in sorted(targets - {city}):
+            cap = tuple(c + d for c, d in zip(capacity, inst.variation(tau, a, city)))
+            if not all(l <= x <= h for x, l, h in zip(cap, lo, hi)):
+                continue
+            for arr in slots(tau + inst.duration(tau, a, city)):
+                if not inst.windows.forbids(vehicle.id, arr, a):
+                    events.append(Event(arr, a, arrival, cap))
+                    newly = claimed | {a} if a in remaining else claimed
+                    yield from extend(events, newly, cost + inst.cost(tau, a, city))
+                    events.pop()
+
+    start = Event(1, vehicle.start_city, DEPARTURE if stateful else PLAIN, tuple(vehicle.start_capacity))
+    yield from extend([start], frozenset(), 0.0)
+
+
 def _reference_search(inst, mode):
-    search = _Search(inst=inst, mode=mode, budget=DEFAULT_MAX_NODES)
     best_cost = None
     best_plans: set[RoutePlan] = set()
 
@@ -64,7 +123,7 @@ def _reference_search(inst, mode):
                 best_plans.add(plan)
             return
         vehicle = inst.vehicles[vehicle_slot]
-        for events, claimed, cost in _timelines(search, vehicle, remaining):
+        for events, claimed, cost in _reference_timelines(inst, mode, vehicle, remaining):
             acc.append(events)
             assign(vehicle_slot + 1, remaining - claimed, acc, acc_cost + cost)
             acc.pop()
@@ -78,6 +137,29 @@ def _same_result(inst, mode):
     ref_best, ref_plans = _reference_search(inst, mode)
     assert best == ref_best
     assert [p.canonical() for p in plans] == [p.canonical() for p in ref_plans]
+
+
+def _same_table(inst, mode):
+    """The oracle's table, in generation order, is the checker-filtered reference."""
+    table = _timeline_table(_Search(inst=inst, mode=mode, cap=DEFAULT_MAX_NODES))
+    bit = {city: 1 << k for k, city in enumerate(inst.customer_cities)}
+    for vehicle, timelines in zip(inst.vehicles, table):
+        reference = [
+            (cost, sum(bit[city] for city in claimed), tuple(events))
+            for events, claimed, cost in _reference_timelines(inst, mode, vehicle, frozenset(bit))
+            if not _vehicle_checks(tuple(events), vehicle, inst, mode)
+        ]
+        generated = [(t.cost, t.claimed, t.events) for t in sorted(timelines, key=lambda t: t.order)]
+        assert generated == reference
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_timeline_table_matches_filtered_reference(mode):
+    for case in load_cases():
+        _same_table(case.instance, mode)
+    for seed in range(100):
+        _same_table(random_instance(seed, max_cities=6, max_intervals=6, max_vehicles=2), mode)
+    _same_table(delivery_demo_instance(), mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -136,13 +218,111 @@ def test_vehicles_differing_only_in_windows_keep_their_own_timelines():
 
 def test_join_nodes_count_against_the_cap():
     inst = delivery_demo_instance()
-    search = _Search(inst=inst, mode=MODE_WINDOW_TOLERANT, budget=DEFAULT_MAX_NODES)
+    search = _Search(inst=inst, mode=MODE_WINDOW_TOLERANT, cap=DEFAULT_MAX_NODES)
     _timeline_table(search)
-    enumeration_steps = DEFAULT_MAX_NODES - search.budget
     # The demo's three identical vehicles share one timeline list, and the
     # join needs thousands of nodes on top of generating it.
-    with pytest.raises(SearchCapExceeded):
-        enumerate_optimal_routes(inst, max_nodes=enumeration_steps + 100)
-    best, plans = enumerate_optimal_routes(inst)
+    assert search.nodes == 322
+    with pytest.raises(SearchCapExceeded, match="node cap of 5719"):
+        enumerate_optimal_routes(inst, max_nodes=5_719)
+    best, plans = enumerate_optimal_routes(inst, max_nodes=5_720)
     assert best == pytest.approx(24.5)
     assert len(plans) == 18
+
+
+# -- the generator's prunes, on hand-built two-city instances -----------------
+
+
+def _two_city(kind, t, end_city=None, durations=None, stays=None, windows=()):
+    return _instance(
+        kind, t, 2,
+        [Vehicle(id=1, start_city=1, end_city=end_city)],
+        _costs(t, 2, {(2, 1): 1.0, (1, 2): 1.0}),
+        _durations(t, 2, durations),
+        stays=_stays(t, 2, stays) if kind == "TS_SVRP" else None,
+        windows=windows,
+    )
+
+
+def _generated(inst, mode):
+    search = _Search(inst=inst, mode=mode, cap=DEFAULT_MAX_NODES)
+    vehicle = inst.vehicles[0]
+    return [tuple(events) for events, _, _ in _timelines(search, vehicle, frozenset(inst.customer_cities))]
+
+
+def _pruned(inst, mode):
+    """Reference timelines the generator no longer yields, with their rejections."""
+    kept = set(_generated(inst, mode))
+    vehicle = inst.vehicles[0]
+    rejected = {}
+    for events, _, _ in _reference_timelines(inst, mode, vehicle, frozenset(inst.customer_cities)):
+        events = tuple(events)
+        if events not in kept:
+            rejected[events] = {v.kind for v in _vehicle_checks(events, vehicle, inst, mode)}
+    return rejected
+
+
+def _plain(tau, city):
+    return Event(tau, city, PLAIN, ())
+
+
+def _dep(tau, city):
+    return Event(tau, city, DEPARTURE, ())
+
+
+def _arr(tau, city):
+    return Event(tau, city, ARRIVAL, ())
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_open_nominal_slot_is_the_only_choice(mode):
+    leg = _two_city("TS_VRP", 4)
+    assert _generated(leg, mode) == [(_plain(1, 1),), (_plain(1, 1), _plain(2, 2))]
+    stay = _two_city("TS_SVRP", 5, end_city=1)
+    assert _generated(stay, mode) == [(_dep(1, 1),), (_dep(1, 1), _arr(2, 2), _dep(3, 2), _arr(4, 1))]
+    late = {**_pruned(leg, mode), **_pruned(stay, mode)}
+    if mode == MODE_STRICT:
+        assert late == {}
+    else:
+        # The leg's arrivals at 3 and 4, and the three tours that reach
+        # home at 5 instead of 4: each carries a late leg or a late stay.
+        assert len(late) == 5
+        assert all(kinds & {"LATE_ARRIVAL", "LATE_DEPARTURE"} for kinds in late.values())
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_forbidden_nominal_slot_opens_the_later_ones_when_tolerant(mode):
+    tolerant = mode == MODE_WINDOW_TOLERANT
+    # Interval 3 is forbidden too, so the later open slots are 4 and 5.
+    leg = _two_city("TS_VRP", 5, windows={(1, 2, 2), (1, 3, 2)})
+    later_arrivals = [(_plain(1, 1), _plain(tau, 2)) for tau in (4, 5)] if tolerant else []
+    assert _generated(leg, mode) == [(_plain(1, 1),), *later_arrivals]
+    stay = _two_city("TS_SVRP", 5, end_city=1, windows={(1, 3, 2)})
+    later_stays = [(_dep(1, 1), _arr(2, 2), _dep(4, 2), _arr(5, 1))] if tolerant else []
+    assert _generated(stay, mode) == [(_dep(1, 1),), *later_stays]
+    assert _pruned(leg, mode) == _pruned(stay, mode) == {}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_nominal_slot_past_the_horizon_ends_the_timeline(mode):
+    # The leg 1->2 takes 4 intervals from interval 1, so it would arrive
+    # at 5 > T; every later slot lies past the horizon too.
+    inst = _two_city("TS_VRP", 4, durations={(2, 1): 4})
+    assert _slot_choices(_Search(inst=inst, mode=mode, cap=1), inst.vehicles[0], 2, 5) == []
+    assert _generated(inst, mode) == [(_plain(1, 1),)]
+    assert _pruned(inst, mode) == {}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_closing_tour_ends_at_the_start(mode):
+    inst = _two_city("TS_SVRP", 7)
+    tour = (_dep(1, 1), _arr(2, 2), _dep(3, 2), _arr(4, 1))
+    generated = _generated(inst, mode)
+    assert generated == [tour[:k] for k in range(1, 5)]
+    pruned = _pruned(inst, mode)
+    # Past the closing arrival the reference departs the start again, at
+    # any later slot when tolerant; each such tour revisits its start.
+    departures = (5, 6, 7) if mode == MODE_WINDOW_TOLERANT else (5,)
+    past_closure = [events for events in pruned if events[:4] == tour]
+    assert past_closure == [(*tour, _dep(tau, 1)) for tau in departures]
+    assert all("REVISIT" in pruned[events] for events in past_closure)
