@@ -233,13 +233,13 @@ def test_join_nodes_count_against_the_cap():
 # -- the generator's prunes, on hand-built two-city instances -----------------
 
 
-def _two_city(kind, t, end_city=None, durations=None, stays=None, windows=()):
+def _two_city(kind, t, end_city=None, durations=None, windows=()):
     return _instance(
         kind, t, 2,
         [Vehicle(id=1, start_city=1, end_city=end_city)],
         _costs(t, 2, {(2, 1): 1.0, (1, 2): 1.0}),
         _durations(t, 2, durations),
-        stays=_stays(t, 2, stays) if kind == "TS_SVRP" else None,
+        stays=_stays(t, 2) if kind == "TS_SVRP" else None,
         windows=windows,
     )
 
