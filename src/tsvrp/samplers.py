@@ -251,17 +251,15 @@ def simulated_anneal(model: QuboModel, schedule: AnnealSchedule) -> SampleSet:
     starting bits, then one uniform ``u`` per (sweep, variable) step,
     consumed in that order; a step flips its variable when
     ``dE < -ln(u) / beta``, so every downhill step flips, and so does any
-    step whose ``u`` is 0.  A sweep visits the colour classes of
-    ``_colour_classes`` in turn, each class's members in ascending order
-    (a chromatic scan); after a member flips, each of its neighbours'
-    fields takes ``w * d`` in its own add, ``d`` the member's spin before
-    the flip.  The scan runs chain by chain in the compiled kernel of
-    ``_anneal.c`` when this process can build it, else in vectorized
-    lockstep over groups of chains with numpy, where members of a class,
-    which share no coupling, are visited in one step.  Both give the same
-    bits, and grouping and sharding over processes change nothing
-    observable because chains never interact: a run's chain ``r`` is the
-    one-chain run at ``seed + r``.  Each chain reports its best-ever
+    step whose ``u`` is 0.  A sweep visits the variables in index order;
+    after a variable flips, each of its neighbours' fields takes
+    ``w * d`` in its own add, ``d`` the variable's spin before the flip.
+    The sweeps run chain by chain in the compiled kernel of ``_anneal.c``
+    when this process can build it, else row by row in vectorized
+    lockstep over groups of chains with numpy.  Both give the same bits,
+    and grouping and sharding over processes change nothing observable
+    because chains never interact: a run's chain ``r`` is the one-chain
+    run at ``seed + r``.  Each chain reports its best-ever
     state; identical states merge into one record with a multiplicity and
     the model's ``energy``.  ``best_energy_per_sweep`` is the lowest best
     over all chains after each sweep, and ``accepted_per_sweep`` counts
@@ -276,25 +274,20 @@ def simulated_anneal(model: QuboModel, schedule: AnnealSchedule) -> SampleSet:
         metadata["accepted_per_sweep"] = [0] * schedule.sweeps
         return SampleSet(records=records, metadata=metadata)
 
-    classes = _colour_classes(model)
-    visit = np.concatenate(classes, dtype=np.int64)
-    ends = np.cumsum([len(members) for members in classes]).tolist()
-    starts, rows, weights = _neighbour_rows(model, visit)
+    starts, rows, weights = _neighbour_rows(model)
     lin = np.zeros(n)
     lin[model.lin_index] = model.lin_coeff
     # Built before any shard is forked, so that every shard shares it.  The
     # bound pointers keep their arrays alive.
     compiled = _compiled_kernel()
     if compiled is not None:
-        pointers = (a.ctypes.data_as(ctypes.c_void_p) for a in (starts, rows, weights, visit))
+        pointers = (a.ctypes.data_as(ctypes.c_void_p) for a in (starts, rows, weights))
         compiled = partial(compiled, n, *pointers)
     job = _AnnealJob(
         model,
         schedule.seed,
         schedule.betas(model),
-        visit,
-        tuple(zip([0, *ends], ends)),
-        lin[visit],
+        lin,
         tuple(zip(np.split(rows, starts[1:-1]), np.split(weights, starts[1:-1]))),
         compiled,
     )
@@ -308,36 +301,14 @@ def simulated_anneal(model: QuboModel, schedule: AnnealSchedule) -> SampleSet:
     return SampleSet(records=records, metadata=metadata)
 
 
-def _colour_classes(model: QuboModel) -> list[np.ndarray]:
-    """Greedy colouring of the coupling graph in index order.
-
-    Each variable takes the lowest colour that none of its lower-indexed
-    neighbours holds.  Returns one class per colour, in colour order,
-    each in ascending index order; no coupling joins two members of a
-    class.
-    """
-    n = model.n_vars
-    by_upper = np.argsort(model.q_j, kind="stable")
-    lower = np.split(model.q_i[by_upper], np.cumsum(np.bincount(model.q_j, minlength=n))[:-1])
-    colours = []
-    for j in range(n):
-        used = {colours[k] for k in lower[j].tolist()}
-        colours.append(next(c for c in range(len(used) + 1) if c not in used))
-    colours = np.array(colours, dtype=np.int64)
-    return [np.flatnonzero(colours == c) for c in range(max(colours, default=-1) + 1)]
-
-
-def _neighbour_rows(model: QuboModel, visit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row ``p`` of the scan is variable ``visit[p]``; its neighbour rows,
-    ascending, are ``rows[starts[p]:starts[p + 1]]``, with their couplings
-    to it in ``weights``: both orientations of every coupling, exactly
-    ``2 * nnz`` entries."""
-    position = np.empty(len(visit), dtype=np.int64)
-    position[visit] = np.arange(len(visit))
-    own, other = position[model.q_i], position[model.q_j]
-    own, other = np.concatenate([own, other]), np.concatenate([other, own])
+def _neighbour_rows(model: QuboModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Variable ``j``'s neighbours, ascending, are
+    ``rows[starts[j]:starts[j + 1]]``, with their couplings to it in
+    ``weights``: both orientations of every coupling, exactly ``2 * nnz``
+    entries."""
+    own, other = np.concatenate([model.q_i, model.q_j]), np.concatenate([model.q_j, model.q_i])
     order = np.lexsort((other, own))
-    starts = np.concatenate([[0], np.cumsum(np.bincount(own, minlength=len(visit)))])
+    starts = np.concatenate([[0], np.cumsum(np.bincount(own, minlength=model.n_vars))])
     return starts, other[order], np.concatenate([model.q_c, model.q_c])[order]
 
 
@@ -348,7 +319,7 @@ def _compiled_kernel():
     The compiler is ``cc`` on ``PATH``; the library goes to a private
     temporary directory, which is gone once the library is loaded.  With
     no compiler, a failed or overlong build, or a library that does not
-    load, this returns None and the numpy class step runs instead.
+    load, this returns None and the numpy row step runs instead.
     """
     # Imported here, on the first anneal, not by every start of the program.
     import subprocess
@@ -369,7 +340,7 @@ def _compiled_kernel():
         except (OSError, subprocess.SubprocessError):
             return None
     count, pointer = ctypes.c_int64, ctypes.c_void_p
-    function.argtypes = [count, *[pointer] * 4, count, *[pointer] * 8, count, count, count]
+    function.argtypes = [count, *[pointer] * 3, count, *[pointer] * 8, count, count, count]
     function.restype = None
     return function
 
@@ -380,14 +351,11 @@ class _AnnealJob(NamedTuple):
     model: QuboModel
     seed: int
     betas: np.ndarray
-    # The variable of each row of the scan, and each class's rows ``a .. b - 1``.
-    visit: np.ndarray
-    classes: tuple[tuple[int, int], ...]
-    # Per row: its linear term, and its neighbour rows and their couplings
+    # Per variable: its linear term, and its neighbours and their couplings
     # (see ``_neighbour_rows``).
     lin: np.ndarray
     neighbours: tuple[tuple[np.ndarray, np.ndarray], ...]
-    # ``anneal_chain`` of ``_anneal.c`` with the scan bound, or None.
+    # ``anneal_chain`` of ``_anneal.c`` with the neighbour lists bound, or None.
     kernel: partial | None
 
 
@@ -460,11 +428,14 @@ def _shard_child(job: _AnnealJob, lo: int, hi: int, reader, writer) -> None:
 
 
 def _chain_bytes(n: int) -> int:
-    """One chain's share of its group's state: its generator, at most
-    ten ``n``-sized rows at once (five of state, a class's ``dE``,
-    ``delta`` and accept rows, a member update's output and one passing
-    copy) and a few scalars."""
-    return 8 * (10 * n + 10) + _GENERATOR_BYTES
+    """One chain's share of its group's state: its generator, at most six
+    ``n``-sized rows at once and a few scalars.  The numpy row step holds
+    four rows of state (``spin``, ``field``, the best spin and the sweep's
+    start), a flip's neighbour update and the gathered neighbour fields it
+    is added to; at a sweep's end a boolean mask, an eighth of a row, takes
+    the place of the last.  The compiled kernel holds five: the group's
+    ``spin`` and ``field``, their chains-first copies and the best spin."""
+    return 8 * (6 * n + 10) + _GENERATOR_BYTES
 
 
 def _group_plan(n: int, sweeps: int, chains: int, compiled: bool = False) -> tuple[int, int]:
@@ -520,22 +491,18 @@ def _anneal_group(job: _AnnealJob, rngs, block: int):
     order, from ``field = lin`` and ``energy = constant``, with the same
     elementwise adds as a flip, so no start depends on the group's shape.
     The start goes to the compiled kernel when the job has one, else to
-    the numpy class step, as ``spin`` (``1 - 2 * bits``) and ``field``
-    rows in visit order, chains last.
+    the numpy row step, as ``spin`` (``1 - 2 * bits``) and ``field``
+    rows, one per variable, chains last.
     """
     n, g = len(job.lin), len(rngs)
-    bits = np.empty((n, g))
+    spin = np.empty((n, g))
     for c, rng in enumerate(rngs):
-        bits[:, c] = rng.integers(0, 2, n)
-    spin = bits[job.visit]
+        spin[:, c] = rng.integers(0, 2, n)
     field = np.repeat(job.lin[:, None], g, axis=1)
     cur = np.full(g, job.model.constant)
-    push = np.empty((max(len(nb) for nb, _ in job.neighbours), g))
-    # The row of each variable, in index order.
-    for p in np.argsort(job.visit):
-        (nb, w), bit = job.neighbours[p], spin[p]
-        np.add(cur, field[p], out=cur, where=bit > 0)
-        field[nb] += np.einsum("i,j->ij", w, bit, out=push[: len(nb)])
+    for f, bit, (nb, w) in zip(field, spin, job.neighbours):
+        np.add(cur, f, out=cur, where=bit > 0)
+        field[nb] += np.multiply.outer(w, bit)
     spin *= -2.0
     spin += 1.0
     run = _numpy_sweeps if job.kernel is None else _compiled_sweeps
@@ -545,82 +512,63 @@ def _anneal_group(job: _AnnealJob, rngs, block: int):
 
 
 def _numpy_sweeps(job: _AnnealJob, rngs, block: int, spin, field, cur):
-    """Every sweep of one group in lockstep; row ``p`` of ``spin`` and of
-    ``field`` is variable ``job.visit[p]`` of every chain.
+    """Every sweep of one group in lockstep, the compiled kernel's steps
+    row by row over the group's chains; row ``p`` of ``spin`` and of
+    ``field`` is variable ``p`` of every chain.
 
-    A sweep visits the classes in row order.  One step takes ``dE`` for
-    every member of a class, accepts each against the chain's own
-    threshold for that (sweep, variable) and flips the accepted members.
-    Then, member by member, each member that flipped in some chain adds
-    ``w * delta`` to its neighbour rows, ``delta`` its spin before the
-    step times its accept flag: no add of a step reaches a member of its
-    own class, and each is one exact product and one rounding, so no
-    field depends on the group's shape.  Each step logs the accepted
-    ``dE`` of its members; at the sweep's end one ``cumsum`` over the log
-    gives the energy after each row, the chain of adds a member-by-member
-    visit makes.  The best state is settled once per sweep: the first
-    step that reached the sweep's lowest energy, if that beats the best
-    so far, holds the rows up to its own from the sweep's end and the
-    rest from the sweep's start, because a sweep visits each row once, in
+    A step takes ``dE`` of its row in every chain and accepts it against
+    the chain's own threshold for that (sweep, variable).  Where some
+    chain accepts, the accepted ``dE`` goes into the energy, the sweep's
+    first lowest energy is noted, the row flips, and ``w * delta`` goes to
+    each neighbour row, ``delta`` the spin before the step times the
+    accept flag: one exact product and one rounding, so no field depends
+    on the group's shape.  At the sweep's end a chain that went below its
+    best takes the rows up to its first lowest from its state and the rest
+    from the sweep's start, because a sweep visits each row once, in
     order.  For the same reason the accepted flips of a sweep are the
     entries its end state changed.
     """
     n, g, sweeps = len(job.lin), len(rngs), len(job.betas)
     best, best_spin = cur.copy(), spin.copy()
-    sweep_start = np.empty_like(spin)
-    # Row 0 holds the sweep's start energy and row p + 1 the accepted dE of
-    # row p, until the sweep's cumsum makes it the energy after row p.
-    energy_log = np.empty((n + 1, g))
-    energy_log[0] = cur
+    sweep_start, first = np.empty_like(spin), np.empty(g, dtype=np.int64)
     trajectory = np.empty(sweeps + 1)
     trajectory[0] = cur.min()
     accepted = np.empty(sweeps, dtype=np.int64)
     tape, draw = np.empty((block, n, g)), np.empty((block, n))
     push = np.empty((max(len(nb) for nb, _ in job.neighbours), g))
-    widest = max(b - a for a, b in job.classes)
-    de, delta = np.empty((widest, g)), np.empty((widest, g))
-    accept = np.empty((widest, g), dtype=bool)
-    order, chains = np.arange(n, dtype=np.int32)[:, None], np.arange(g)
+    de, delta = np.empty(g), np.empty(g)
+    ok, lower = np.empty(g, dtype=bool), np.empty(g, dtype=bool)
+    order = np.arange(n)[:, None]
     for t0 in range(0, sweeps, block):
         width = min(block, sweeps - t0)
-        # Each chain's thresholds in visit order; "clip" (every index is
-        # valid) lets take write into the strided slice without a copy.
         for c, rng in enumerate(rngs):
-            thresholds = _thresholds(rng, job.betas[t0 : t0 + width], draw[:width])
-            np.take(thresholds, job.visit, axis=1, out=tape[:width, :, c], mode="clip")
+            tape[:width, :, c] = _thresholds(rng, job.betas[t0 : t0 + width], draw[:width])
         for t in range(t0, t0 + width):
             np.copyto(sweep_start, spin)
-            thresholds = tape[t - t0]
-            for a, b in job.classes:
-                m = b - a
-                s = spin[a:b]
-                d = np.multiply(field[a:b], s, out=de[:m])
-                ok = np.less(d, thresholds[a:b], out=accept[:m])
-                np.multiply(d, ok, out=energy_log[a + 1 : b + 1])
-                moved = np.multiply(s, ok, out=delta[:m])
-                for k in np.flatnonzero(ok.any(axis=1)).tolist():
-                    nb, w = job.neighbours[a + k]
-                    field[nb] += np.einsum("i,j->ij", w, moved[k], out=push[: len(nb)])
+            # The row where each chain first reached the sweep's lowest
+            # energy below its best, or -1.
+            first.fill(-1)
+            for p, (s, u, (nb, w)) in enumerate(zip(spin, tape[t - t0], job.neighbours)):
+                np.multiply(field[p], s, out=de)
+                if not np.less(de, u, out=ok).any():
+                    continue
+                np.add(cur, de, out=cur, where=ok)
+                np.less(cur, best, out=lower)
+                np.copyto(best, cur, where=lower)
+                np.copyto(first, p, where=lower)
+                field[nb] += np.einsum("i,j->ij", w, np.multiply(s, ok, out=delta), out=push[: len(nb)])
                 np.negative(s, out=s, where=ok)
-            np.cumsum(energy_log, axis=0, out=energy_log)
-            first = energy_log[1:].argmin(axis=0)
-            low = energy_log[first + 1, chains]
-            improved = low < best
-            np.copyto(best, low, where=improved)
-            np.copyto(best_spin, sweep_start, where=improved)
-            np.copyto(best_spin, spin, where=improved & (order <= first))
+            np.copyto(best_spin, sweep_start, where=first >= 0)
+            np.copyto(best_spin, spin, where=order <= first)
             trajectory[t + 1] = best.min()
             accepted[t] = np.count_nonzero(spin != sweep_start)
-            energy_log[0] = energy_log[n]
-    best_bits = np.empty((g, n), dtype=np.uint8)
-    best_bits[:, job.visit] = (best_spin < 0).T
-    return best_bits, trajectory, accepted
+    return (best_spin.T < 0).astype(np.uint8), trajectory, accepted
 
 
 def _compiled_sweeps(job: _AnnealJob, rngs, block: int, spin, field, cur):
     """The sweeps of ``_numpy_sweeps`` in the compiled kernel, one chain
-    at a time and member by member, on chains-first copies of the state;
-    the tape holds one chain's block of thresholds at a time."""
+    at a time, on chains-first copies of the state; the tape holds one
+    chain's block of thresholds at a time."""
     n, g, sweeps = len(job.lin), len(rngs), len(job.betas)
     spin, field = np.ascontiguousarray(spin.T), np.ascontiguousarray(field.T)
     best_spin = spin.copy()
@@ -637,9 +585,7 @@ def _compiled_sweeps(job: _AnnealJob, rngs, block: int, spin, field, cur):
             width = min(block, sweeps - t0)
             _thresholds(rng, job.betas[t0 : t0 + width], tape[:width])
             run(c, t0, width)
-    best_bits = np.empty((g, n), dtype=np.uint8)
-    best_bits[:, job.visit] = best_spin < 0
-    return best_bits, trajectory, accepted
+    return (best_spin < 0).astype(np.uint8), trajectory, accepted
 
 
 def _sa_metadata(model: QuboModel, schedule: AnnealSchedule, b0: float, b1: float) -> dict:
@@ -662,8 +608,9 @@ def read_sample_set(path, model: QuboModel) -> SampleSet:
     """Load a sample-set document, re-verifying energies against a model.
 
     Records that are not a 0/1 string of the model's length with a
-    positive integer multiplicity, or whose stored energy disagrees with
-    the model by more than ``IMPORT_TOL``, are rejected (dropped); the
+    positive integer multiplicity, or whose stored energy is not a JSON
+    number (a string or a boolean is not) or disagrees with the model by
+    more than ``IMPORT_TOL``, are rejected (dropped); the
     number of rejections lands in the metadata so silent corruption
     stays visible.  Every accepted record takes the model's energy.
     A malformed document raises ``ValueError`` or ``TypeError``.
@@ -674,7 +621,7 @@ def read_sample_set(path, model: QuboModel) -> SampleSet:
     records = []
     rejected = 0
     for bitstring, energy, multiplicity in doc.get("records", []):
-        energy = float(energy)
+        energy = float(energy) if type(energy) in (int, float) else math.nan
         if (
             not isinstance(bitstring, str)
             or not set(bitstring) <= {"0", "1"}

@@ -633,8 +633,14 @@ def test_stats_rejects_malformed_sample_document(minimal_instance_path, tmp_path
         lambda r: [r[0], r[1], 0],
         lambda r: [r[0], r[1], 1.5],
         lambda r: [r[0], float("nan"), r[2]],
+        lambda r: [r[0], str(r[1]), r[2]],
+        lambda r: [r[0], True, r[2]],
+        lambda r: [r[0], None, r[2]],
     ],
-    ids=["wrong-length", "non-binary", "negative", "zero", "fractional", "nan-energy"],
+    ids=[
+        "wrong-length", "non-binary", "negative", "zero", "fractional",
+        "nan-energy", "string-energy", "bool-energy", "null-energy",
+    ],
 )
 def test_stats_rejects_hostile_records(minimal_instance_path, tmp_path, corrupt):
     main(["solve", "--instance", minimal_instance_path, "--out", str(tmp_path / "run")])

@@ -111,7 +111,6 @@ def test_samplers_on_a_model_without_free_variables():
     assert result.to_document()["records"] == [["", constant, 3]]
     assert result.metadata["best_energy_per_sweep"] == [constant] * 8
     assert result.metadata["accepted_per_sweep"] == [0] * 7
-    assert samplers_module._colour_classes(model) == []
     assert exhaustive_solve(model).to_document()["records"] == [["", constant, 1]]
 
 
@@ -419,28 +418,17 @@ def test_sample_set_file_round_trip(tmp_path):
     assert loaded.records == result.records
 
 
-# -- the colour-class kernel against a member-by-member reference -----------------
-
-
-def _reference_colour_classes(coupling):
-    """Greedy colouring in index order from the dense couplings: each
-    variable takes the lowest colour no lower neighbour holds."""
-    colours = []
-    for j in range(len(coupling)):
-        used = {colours[k] for k in np.flatnonzero(coupling[j, :j])}
-        colours.append(min(set(range(len(used) + 1)) - used))
-    return [[j for j in range(len(colours)) if colours[j] == c] for c in range(max(colours, default=-1) + 1)]
+# -- both kernels against a variable-by-variable reference ---------------------
 
 
 def _reference_anneal(model, schedule, budget=200_000_000):
-    """The chromatic scan written out member by member: chains-first state,
-    the whole threshold tape ``-ln(u) / beta`` of a chunk of chains drawn
-    up front, and best-ever tracking after every flip.  A sweep visits the
-    colour classes in order and each class's members in ascending order;
-    right after a member flips, every field takes ``w * d`` in its own
-    add, where ``d`` is the member's spin before the flip.  Its start
-    switches each chain's set bits on in index order, as the kernels'
-    does."""
+    """The scan written out variable by variable: chains-first state, the
+    whole threshold tape ``-ln(u) / beta`` of a chunk of chains drawn up
+    front, and best-ever tracking after every flip.  A sweep visits the
+    variables in index order; right after a variable flips, every field
+    takes ``w * d`` in its own add, where ``d`` is the variable's spin
+    before the flip.  Its start switches each chain's set bits on in
+    index order, as the kernels' does."""
     from collections import Counter
 
     from tsvrp.samplers import SampleRecord, SampleSet, _sa_metadata
@@ -456,7 +444,6 @@ def _reference_anneal(model, schedule, budget=200_000_000):
         records = (SampleRecord((), model.constant, restarts),)
         return SampleSet(records=records, metadata=metadata)
 
-    visit = [j for c in _reference_colour_classes(coupling) for j in c]
     accepted = np.zeros(sweeps, dtype=np.int64)
     trajectory = np.full(sweeps + 1, np.inf)
     chunk = max(1, min(restarts, budget // (sweeps * n * 8)))
@@ -480,7 +467,7 @@ def _reference_anneal(model, schedule, budget=200_000_000):
         best_bits = bits.copy()
         chunk_traj = [best.min()]
         for t in range(sweeps):
-            for j in visit:
+            for j in range(n):
                 de = field_now[:, j] * (1.0 - 2.0 * bits[:, j])
                 rows = np.nonzero(de < thresholds[t, j])[0]
                 accepted[t] += rows.size
@@ -541,7 +528,7 @@ def _force_shards(monkeypatch, shards):
     monkeypatch.setattr(samplers_module, "_MIN_SHARD_CHAINS", 1)
 
 
-# The two kernels of ``simulated_anneal``: the numpy class step, and the
+# The two kernels of ``simulated_anneal``: the numpy row step, and the
 # compiled one, which loads wherever ``cc`` is on PATH (see
 # ``test_compiled_kernel_loads_where_a_compiler_is``).
 KERNELS = ("numpy", "compiled")
@@ -608,11 +595,10 @@ def test_kernel_matches_reference_across_shards(monkeypatch, shards, restarts):
 @pytest.mark.parametrize("budget", [1, 30_000, 200_000])
 def test_kernel_matches_reference_across_tape_blocks(monkeypatch, budget):
     # From one chain with one sweep per block up to whole groups.  On the
-    # fleet model a budget of 1 steps one-chain groups through classes of
-    # five members, whose adds to a shared neighbour row must come in
-    # member order whatever the group's width.  The compiled kernel's
-    # one-chain blocks hold one sweep at a budget of 1 and six fleet
-    # sweeps at 30,000.
+    # fleet model a budget of 1 runs one-chain groups, whose adds to a
+    # shared neighbour row must come in index order as in a wide group's
+    # lockstep.  The compiled kernel's one-chain blocks hold one sweep at
+    # a budget of 1 and ten fleet sweeps at 30,000.
     _force_shards(monkeypatch, 2)
     monkeypatch.setattr(samplers_module, "_TAPE_BUDGET", budget)
     for model in (demo_model(), planted_fleet_model()):
@@ -642,21 +628,6 @@ def test_every_chain_is_the_one_chain_run_at_its_seed(factory):
         assert whole.metadata["best_energy_per_sweep"] == np.min(trajectories, axis=0).tolist()
         accepted = [c.metadata["accepted_per_sweep"] for c in chains]
         assert whole.metadata["accepted_per_sweep"] == np.sum(accepted, axis=0).tolist()
-
-
-@pytest.mark.parametrize("factory, count, widest", [(demo_model, 16, 9), (planted_fleet_model, 51, 5)])
-def test_colour_classes_are_a_proper_colouring(factory, count, widest):
-    model = factory()
-    classes = samplers_module._colour_classes(model)
-    assert sorted(np.concatenate(classes).tolist()) == list(range(model.n_vars))
-    colour = np.empty(model.n_vars, dtype=int)
-    for c, members in enumerate(classes):
-        assert (np.diff(members) > 0).all()
-        colour[members] = c
-    assert (colour[model.q_i] != colour[model.q_j]).all()
-    assert len(classes) == count and max(map(len, classes)) == widest
-    assert [c.tolist() for c in samplers_module._colour_classes(factory())] == [c.tolist() for c in classes]
-    assert [c.tolist() for c in classes] == _reference_colour_classes(model.dense_arrays()[1])
 
 
 @pytest.mark.parametrize("shards", [1, 2])
