@@ -12,17 +12,30 @@ search then joins one timeline per vehicle, in vehicle id order, by
 branch and bound: each vehicle tries its timelines cheapest first, skips
 those that claim a customer an earlier vehicle took, and stops once the
 partial cost plus the cheapest timeline of every later vehicle exceeds
-the best plan so far.  Every complete plan is vetted by the same
-feasibility checker used for decoded samples, so oracle and checker can
-never drift apart.
+the best plan so far.
+
+Vehicles that share a timeline list are interchangeable, adjacent in id
+order or not, so the join meets each plan once up to their relabelling:
+within such a group each vehicle takes a timeline at or after the
+previous member's position in the sorted list (at, too, since two
+vehicles may both take a timeline that claims no customer).  After the
+join, each canonical plan near the optimum is expanded into every
+distinct relabelling, each under its own generation-order key, so the
+near-tie replay sees what a search over every relabelling would.  Every
+complete plan is vetted by the same feasibility checker used for decoded
+samples, so oracle and checker can never drift apart; its per-vehicle
+verdicts come from the timeline table, so only the fleet checks rerun.
 
 The node budget counts one node per timeline extension step and one per
-join node (a timeline placed into a partial plan).
+join node (a timeline placed into a partial plan); the expansion places
+none.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import NamedTuple
 
 from .decoder import (
@@ -30,9 +43,9 @@ from .decoder import (
     MODE_WINDOW_TOLERANT,
     Event,
     RoutePlan,
+    _check,
     _vehicle_checks,
     _window_blocks,
-    check_feasibility,
     route_cost,
 )
 from .instance import Instance, Vehicle
@@ -196,6 +209,18 @@ def _timeline_table(search: _Search) -> list[list[_Timeline]]:
     return table
 
 
+def _relabellings(picks: list[int], groups: Collection[list[int]]):
+    """Every distinct reassignment of a plan's timeline positions among
+    the slots of each group."""
+    per_group = [set(permutations([picks[slot] for slot in slots])) for slots in groups]
+    for choice in product(*per_group):
+        relabelled = list(picks)
+        for slots, positions in zip(groups, choice):
+            for slot, pos in zip(slots, positions):
+                relabelled[slot] = pos
+        yield relabelled
+
+
 def enumerate_optimal_routes(
     inst: Instance,
     mode: str = MODE_WINDOW_TOLERANT,
@@ -204,11 +229,13 @@ def enumerate_optimal_routes(
     """Exhaustively search all routings; return the cheapest feasible plans.
 
     Vehicles take one precomputed timeline each, in id order, by branch
-    and bound over disjoint customer sets; every complete candidate is
-    validated with :func:`check_feasibility` before it may enter the
-    optimum set.  Returns ``(None, ())`` when nothing feasible exists;
-    raises :class:`SearchCapExceeded` past ``max_nodes`` search nodes,
-    counting every timeline extension step and every join node.
+    and bound over disjoint customer sets, each plan once up to the
+    relabelling of vehicles that share a timeline list; every complete
+    candidate and every relabelling of a near-optimal one is validated
+    with the checker behind :func:`check_feasibility` before it may
+    enter the optimum set.  Returns ``(None, ())`` when nothing feasible
+    exists; raises :class:`SearchCapExceeded` past ``max_nodes`` search
+    nodes, counting every timeline extension step and every join node.
     """
     search = _Search(inst=inst, mode=mode, cap=max_nodes)
     table = _timeline_table(search)
@@ -219,14 +246,31 @@ def enumerate_optimal_routes(
         if not table[slot]:
             return None, ()
         floor[slot] = floor[slot + 1] + table[slot][0].cost
+    # The slots that share one timeline list, and each slot's previous
+    # member in its group (None for the first).
+    groups: dict[int, list[int]] = {}
+    previous: list[int | None] = []
+    for slot, timelines in enumerate(table):
+        members = groups.setdefault(id(timelines), [])
+        previous.append(members[-1] if members else None)
+        members.append(slot)
+    # Every table timeline passed the per-vehicle checks for its vehicle.
+    verdicts = {(v.id, t.events): [] for v, timelines in zip(inst.vehicles, table) for t in timelines}
+
+    def plan_of(picks: list[int]) -> RoutePlan:
+        return RoutePlan(events={slot + 1: table[slot][pos].events for slot, pos in enumerate(picks)})
 
     best: float | None = None
-    found: list[tuple[tuple[int, ...], float, RoutePlan]] = []
+    canonical: list[tuple[list[int], float]] = []
+    picks: list[int] = []
 
-    def join(slot: int, remaining: int, acc: list[_Timeline], acc_cost: float) -> None:
+    def join(slot: int, remaining: int, acc_cost: float) -> None:
         nonlocal best
         rest = floor[slot + 1]
-        for timeline in table[slot]:
+        timelines = table[slot]
+        first = 0 if previous[slot] is None else picks[previous[slot]]
+        for pos in range(first, len(timelines)):
+            timeline = timelines[pos]
             if best is not None and acc_cost + timeline.cost + rest > best + _TIE_TOL:
                 break  # sorted by cost: every later timeline is cut too
             if timeline.claimed & ~remaining:
@@ -234,19 +278,31 @@ def enumerate_optimal_routes(
             if slot == last and timeline.claimed != remaining:
                 continue  # a customer would stay unvisited
             search.tick()
-            acc.append(timeline)
+            picks.append(pos)
             if slot < last:
-                join(slot + 1, remaining & ~timeline.claimed, acc, acc_cost + timeline.cost)
+                join(slot + 1, remaining & ~timeline.claimed, acc_cost + timeline.cost)
             else:
-                plan = RoutePlan(events={i + 1: t.events for i, t in enumerate(acc)})
-                if check_feasibility(plan, inst, mode=mode).feasible:
+                plan = plan_of(picks)
+                if _check(plan, inst, mode, verdicts).feasible:
                     cost = route_cost(plan, inst, check=False)
                     if best is None or cost < best:
                         best = cost
-                    found.append((tuple(t.order for t in acc), cost, plan))
-            acc.pop()
+                    canonical.append((list(picks), cost))
+            picks.pop()
 
-    join(0, (1 << len(inst.customer_cities)) - 1, [], 0.0)
+    join(0, (1 << len(inst.customer_cities)) - 1, 0.0)
+
+    # The replay keeps plans within _TIE_TOL of a cost within _TIE_TOL of
+    # the best, so only those canonical plans are expanded.
+    found: list[tuple[tuple[int, ...], float, RoutePlan]] = []
+    for positions, cost in canonical:
+        if cost > best + 2 * _TIE_TOL:
+            continue
+        for relabelled in _relabellings(positions, groups.values()):
+            plan = plan_of(relabelled)
+            if _check(plan, inst, mode, verdicts).feasible:
+                key = tuple(table[slot][pos].order for slot, pos in enumerate(relabelled))
+                found.append((key, route_cost(plan, inst, check=False), plan))
 
     # Replay the candidates in the order a depth-first search over the
     # generation order meets them, so near-ties resolve the same way.

@@ -9,11 +9,14 @@ per-partial-assignment search over that generator: for every assignment
 of vehicles 1..k it regenerates the timelines of vehicle k+1 under the
 customers still open, and folds every feasible complete plan into the
 optimum set in depth-first order.  The join must return the same optimal
-cost and the same plans.  Hand-built instances pin each prune in both
-modes.
+cost and the same plans, also on fleets of identical vehicles, whose
+relabellings it expands after the search.  Hand-built instances pin each
+prune in both modes.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -137,6 +140,7 @@ def _same_result(inst, mode):
     ref_best, ref_plans = _reference_search(inst, mode)
     assert best == ref_best
     assert [p.canonical() for p in plans] == [p.canonical() for p in ref_plans]
+    return plans
 
 
 def _same_table(inst, mode):
@@ -216,16 +220,67 @@ def test_vehicles_differing_only_in_windows_keep_their_own_timelines():
     _same_result(inst, MODE_WINDOW_TOLERANT)
 
 
+def _identical_fleet(inst, k):
+    """``inst`` with its first vehicle, forbidden slots included, as k identical vehicles."""
+    first = inst.vehicles[0]
+    slots = {(tau, city) for i, tau, city in inst.windows.forbidden if i == first.id}
+    vehicles = tuple(dataclasses.replace(first, id=i) for i in range(1, k + 1))
+    windows = WindowSet(frozenset((i, tau, city) for i in range(1, k + 1) for tau, city in slots))
+    return dataclasses.replace(inst, vehicles=vehicles, windows=windows)
+
+
+@pytest.mark.parametrize("k", (3, 4, 5))
+@pytest.mark.parametrize("mode", MODES)
+def test_join_matches_reference_on_identical_fleets(mode, k):
+    relabelled = 0
+    for seed in range(40):
+        inst = _identical_fleet(random_instance(seed, max_cities=4, max_intervals=5, max_vehicles=1), k)
+        relabelled += len(_same_result(inst, mode)) > 1
+    assert relabelled  # some optima come in several relabellings
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_join_matches_reference_on_a_non_adjacent_group(mode):
+    # Vehicles 1 and 3 are identical; vehicle 2 may never be at customer
+    # 2, so it keeps a list of its own between them.
+    costs = np.full((3, 4, 4), 4.0)
+    costs[0, 1:, 0] = 1.0, 2.0, 3.0
+    vehicles = tuple(Vehicle(id=i, start_city=1) for i in (1, 2, 3))
+    inst = _plain_instance(costs, vehicles, windows={(2, tau, 2) for tau in (2, 3, 4)})
+    table = _timeline_table(_Search(inst=inst, mode=mode, cap=DEFAULT_MAX_NODES))
+    assert table[0] is table[2] and table[1] is not table[0]
+    best, plans = enumerate_optimal_routes(inst, mode=mode)
+    assert best == 6.0
+    assert len(plans) == 4  # customer 2 goes to vehicle 1 or 3, the rest either way
+    _same_result(inst, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_identical_vehicles_may_share_a_timeline_that_claims_no_customer(mode):
+    # One customer and three identical vehicles: two of them stay at the depot.
+    costs = np.full((1, 2, 2), 2.0)
+    vehicles = tuple(Vehicle(id=i, start_city=1) for i in (1, 2, 3))
+    inst = _plain_instance(costs, vehicles)
+    best, plans = enumerate_optimal_routes(inst, mode=mode)
+    assert best == 2.0
+    assert len(plans) == 3
+    for plan in plans:
+        assert sorted(len(evts) for evts in plan.events.values()) == [1, 1, 2]
+    _same_result(inst, mode)
+
+
 def test_join_nodes_count_against_the_cap():
     inst = delivery_demo_instance()
     search = _Search(inst=inst, mode=MODE_WINDOW_TOLERANT, cap=DEFAULT_MAX_NODES)
     _timeline_table(search)
-    # The demo's three identical vehicles share one timeline list, and the
-    # join needs thousands of nodes on top of generating it.
+    # The demo's three identical vehicles share one timeline list.  The join
+    # meets each plan once up to their relabelling, and still needs
+    # thousands of nodes on top of generating the list; the relabellings
+    # of the optima are expanded after it and place no node.
     assert search.nodes == 322
-    with pytest.raises(SearchCapExceeded, match="node cap of 5719"):
-        enumerate_optimal_routes(inst, max_nodes=5_719)
-    best, plans = enumerate_optimal_routes(inst, max_nodes=5_720)
+    with pytest.raises(SearchCapExceeded, match="node cap of 3175"):
+        enumerate_optimal_routes(inst, max_nodes=3_175)
+    best, plans = enumerate_optimal_routes(inst, max_nodes=3_176)
     assert best == pytest.approx(24.5)
     assert len(plans) == 18
 
