@@ -229,17 +229,6 @@ def check_feasibility(
     mode demands nominal spacing everywhere.  Vehicles may share a depot
     in the same interval; any other shared city is a violation.
     """
-    return _check(plan, inst, mode, {})
-
-
-def _check(plan: RoutePlan, inst: Instance, mode: str, verdicts: dict) -> FeasibilityReport:
-    """:func:`check_feasibility`, reusing per-vehicle verdicts within one run.
-
-    ``verdicts`` maps (vehicle id, events) to the violations
-    :func:`_vehicle_checks` returned for that timeline, under this
-    instance and mode; a timeline not in it is checked and added.  The
-    fleet checks always run.
-    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     v: list[Violation] = []
@@ -247,11 +236,7 @@ def _check(plan: RoutePlan, inst: Instance, mode: str, verdicts: dict) -> Feasib
         if not 1 <= i <= inst.n_vehicles:
             v.append(Violation("UNKNOWN_VEHICLE", f"the instance has no vehicle {i}", True))
     for vehicle in inst.vehicles:
-        events = plan.events.get(vehicle.id, ())
-        key = (vehicle.id, events)
-        if key not in verdicts:
-            verdicts[key] = _vehicle_checks(events, vehicle, inst, mode)
-        v.extend(verdicts[key])
+        v.extend(_vehicle_checks(plan.events.get(vehicle.id, ()), vehicle, inst, mode))
     v.extend(_fleet_checks(plan, inst))
     return FeasibilityReport(violations=tuple(v))
 
@@ -654,16 +639,11 @@ def evaluate_bits(
     mode: str = MODE_WINDOW_TOLERANT,
 ) -> tuple[RoutePlan | None, FeasibilityReport]:
     """Decode and check in one step; decode clashes become the report."""
-    return _evaluate(bits, catalogue, inst, mode, {})
-
-
-def _evaluate(bits, catalogue, inst, mode, verdicts: dict):
-    """:func:`evaluate_bits` through :func:`_check`'s verdict cache."""
     try:
         plan = decode(bits, catalogue)
     except DecodeError as exc:
         return None, FeasibilityReport(violations=exc.violations)
-    return plan, _check(plan, inst, mode, verdicts)
+    return plan, check_feasibility(plan, inst, mode=mode)
 
 
 def stats(
@@ -679,7 +659,6 @@ def stats(
     best_cost: float | None = None
     histogram: dict[float, int] = {}
     rows = []
-    verdicts: dict = {}  # records repeat vehicle timelines; check each once
     for record in samples.records:
         total += record.multiplicity
         if best_energy is None or record.energy < best_energy:
@@ -687,7 +666,7 @@ def stats(
         histogram[round(record.energy, 9)] = (
             histogram.get(round(record.energy, 9), 0) + record.multiplicity
         )
-        plan, report = _evaluate(record.bits, catalogue, inst, mode, verdicts)
+        plan, report = evaluate_bits(record.bits, catalogue, inst, mode)
         ok = report.feasible
         cost = None
         if ok and plan is not None:

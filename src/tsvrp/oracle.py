@@ -21,29 +21,30 @@ previous member's position in the sorted list (at, too, since two
 vehicles may both take a timeline that claims no customer).  After the
 join, each canonical plan near the optimum is expanded into every
 distinct relabelling, each under its own generation-order key, so the
-near-tie replay sees what a search over every relabelling would.  Every
-complete plan is vetted by the same feasibility checker used for decoded
-samples, so oracle and checker can never drift apart; its per-vehicle
-verdicts come from the timeline table, so only the fleet checks rerun.
+near-tie replay sees every relabelling of those plans.  Every complete
+plan is vetted by the same checks used for decoded samples, so oracle
+and checker can never drift apart: the per-vehicle checks vetted each
+timeline of the table, and the fleet checks run on each plan.
 
-The node budget counts one node per timeline extension step and one per
-join node (a timeline placed into a partial plan); the expansion places
-none.
+The node budget counts one node per timeline extension step, one per
+join node (a timeline placed into a partial plan) and one per expanded
+relabelling.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from typing import NamedTuple
 
 from .decoder import (
     MODE_STRICT,
     MODE_WINDOW_TOLERANT,
+    MODES,
     Event,
     RoutePlan,
-    _check,
+    _fleet_checks,
     _vehicle_checks,
     _window_blocks,
     route_cost,
@@ -209,10 +210,27 @@ def _timeline_table(search: _Search) -> list[list[_Timeline]]:
     return table
 
 
+def _distinct_permutations(items: Iterable[int]):
+    """Each distinct ordering of ``items`` once, in lexicographic order."""
+    p = sorted(items)
+    while True:
+        yield tuple(p)
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1 :] = reversed(p[i + 1 :])
+
+
 def _relabellings(picks: list[int], groups: Collection[list[int]]):
     """Every distinct reassignment of a plan's timeline positions among
     the slots of each group."""
-    per_group = [set(permutations([picks[slot] for slot in slots])) for slots in groups]
+    per_group = [list(_distinct_permutations(picks[slot] for slot in slots)) for slots in groups]
     for choice in product(*per_group):
         relabelled = list(picks)
         for slots, positions in zip(groups, choice):
@@ -232,11 +250,14 @@ def enumerate_optimal_routes(
     and bound over disjoint customer sets, each plan once up to the
     relabelling of vehicles that share a timeline list; every complete
     candidate and every relabelling of a near-optimal one is validated
-    with the checker behind :func:`check_feasibility` before it may
-    enter the optimum set.  Returns ``(None, ())`` when nothing feasible
+    with the checks behind :func:`check_feasibility` before it may enter
+    the optimum set.  Returns ``(None, ())`` when nothing feasible
     exists; raises :class:`SearchCapExceeded` past ``max_nodes`` search
-    nodes, counting every timeline extension step and every join node.
+    nodes, counting every timeline extension step, every join node and
+    every expanded relabelling.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     search = _Search(inst=inst, mode=mode, cap=max_nodes)
     table = _timeline_table(search)
     last = len(table) - 1
@@ -254,8 +275,6 @@ def enumerate_optimal_routes(
         members = groups.setdefault(id(timelines), [])
         previous.append(members[-1] if members else None)
         members.append(slot)
-    # Every table timeline passed the per-vehicle checks for its vehicle.
-    verdicts = {(v.id, t.events): [] for v, timelines in zip(inst.vehicles, table) for t in timelines}
 
     def plan_of(picks: list[int]) -> RoutePlan:
         return RoutePlan(events={slot + 1: table[slot][pos].events for slot, pos in enumerate(picks)})
@@ -283,7 +302,7 @@ def enumerate_optimal_routes(
                 join(slot + 1, remaining & ~timeline.claimed, acc_cost + timeline.cost)
             else:
                 plan = plan_of(picks)
-                if _check(plan, inst, mode, verdicts).feasible:
+                if not _fleet_checks(plan, inst):  # the table vetted each timeline
                     cost = route_cost(plan, inst, check=False)
                     if best is None or cost < best:
                         best = cost
@@ -292,15 +311,19 @@ def enumerate_optimal_routes(
 
     join(0, (1 << len(inst.customer_cities)) - 1, 0.0)
 
-    # The replay keeps plans within _TIE_TOL of a cost within _TIE_TOL of
-    # the best, so only those canonical plans are expanded.
+    # The replay keeps only plans within _TIE_TOL of a cost within
+    # _TIE_TOL of the cheapest, so only those canonical plans are expanded.
+    # Which of them it keeps can still turn on dearer candidates where
+    # costs chain less than _TIE_TOL apart; on such inputs the set may
+    # differ from one taken over every relabelling of every plan.
     found: list[tuple[tuple[int, ...], float, RoutePlan]] = []
     for positions, cost in canonical:
         if cost > best + 2 * _TIE_TOL:
             continue
         for relabelled in _relabellings(positions, groups.values()):
+            search.tick()
             plan = plan_of(relabelled)
-            if _check(plan, inst, mode, verdicts).feasible:
+            if not _fleet_checks(plan, inst):
                 key = tuple(table[slot][pos].order for slot, pos in enumerate(relabelled))
                 found.append((key, route_cost(plan, inst, check=False), plan))
 

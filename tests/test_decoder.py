@@ -8,7 +8,6 @@ from tsvrp import (
     DecodeError,
     DurationSeries,
     Instance,
-    AnnealSchedule,
     RoutePlan,
     SampleRecord,
     SampleSet,
@@ -23,7 +22,6 @@ from tsvrp import (
     enumerate_optimal_routes,
     exhaustive_solve,
     route_cost,
-    simulated_anneal,
     standard_parameters,
     stats,
 )
@@ -34,12 +32,10 @@ from tsvrp.decoder import (
     Event,
     InfeasiblePlanError,
     Violation,
-    _check,
-    _evaluate,
     _fleet_checks,
     evaluate_bits,
 )
-from tsvrp.demo import DEMO_LAMBDA, delivery_demo_instance
+from tsvrp.demo import delivery_demo_instance
 from tsvrp.hamiltonians import COST_FAMILIES
 from tsvrp.instance import capacity_box
 from tsvrp.oracle import SearchCapExceeded
@@ -1031,56 +1027,3 @@ def test_merged_checks_on_the_demo_optima():
     _, plans = enumerate_optimal_routes(inst)
     assert plans
     assert _assert_same_verdicts(plans, inst) == 0
-
-
-# -- the per-run verdict cache ----------------------------------------------------
-
-
-def _assert_cache_keeps_reports(plans, inst):
-    """Each mode grades every plan twice through one verdict cache; every
-    report, violations and their order included, must equal the uncached
-    one.  Returns how many of those reports were infeasible."""
-    plans = list(plans)
-    infeasible = 0
-    for mode in (MODE_STRICT, MODE_WINDOW_TOLERANT):
-        verdicts = {}
-        for plan in plans + plans:
-            cached = _check(plan, inst, mode, verdicts)
-            assert cached == check_feasibility(plan, inst, mode=mode), (plan, mode)
-            infeasible += not cached.feasible
-        assert len(verdicts) <= len(plans) * inst.n_vehicles
-    return infeasible
-
-
-def test_verdict_cache_keeps_reports_on_the_case_suite():
-    rng = np.random.default_rng(11)
-    for case in load_cases():
-        cat = build_catalogue(case.instance)
-        plans = [*_every_decodable_plan(cat), *_hand_written_plans(case.instance, rng, 20)]
-        assert _assert_cache_keeps_reports(plans, case.instance)
-
-
-def test_verdict_cache_keeps_reports_on_random_plans_with_violations():
-    rng = np.random.default_rng(13)
-    for seed in range(60):
-        inst = random_instance(seed, max_cities=6, max_intervals=6, max_vehicles=3)
-        plans = [
-            *_random_decodable_plans(build_catalogue(inst), rng, 10),
-            *_hand_written_plans(inst, rng, 10),
-        ]
-        assert _assert_cache_keeps_reports(plans, inst)
-
-
-def test_verdict_cache_keeps_reports_on_the_demo_sa_records():
-    inst = delivery_demo_instance()
-    model = build_model(inst, standard_parameters(inst.costs, DEMO_LAMBDA))
-    samples = simulated_anneal(model, AnnealSchedule(sweeps=50, restarts=300, seed=20240817))
-    for mode in (MODE_STRICT, MODE_WINDOW_TOLERANT):
-        verdicts = {}
-        kinds = set()
-        for record in samples.records:
-            cached = _evaluate(record.bits, model.catalogue, inst, mode, verdicts)
-            assert cached == evaluate_bits(record.bits, model.catalogue, inst, mode)
-            kinds.update(v.kind for v in cached[1].violations)
-        assert len(kinds) > 1
-        assert len(verdicts) < len(samples.records) * inst.n_vehicles  # timelines repeat

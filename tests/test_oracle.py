@@ -269,18 +269,31 @@ def test_identical_vehicles_may_share_a_timeline_that_claims_no_customer(mode):
     _same_result(inst, mode)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_dozen_identical_vehicles_expand_only_distinct_relabellings(mode):
+    # One customer and twelve identical vehicles: eleven stay at the depot,
+    # so each optimum has 12 distinct relabellings, not 12! orderings.
+    costs = np.full((1, 2, 2), 2.0)
+    vehicles = tuple(Vehicle(id=i, start_city=1) for i in range(1, 13))
+    inst = _plain_instance(costs, vehicles)
+    best, plans = enumerate_optimal_routes(inst, mode=mode, max_nodes=100)
+    assert best == 2.0
+    assert len(plans) == 12
+    _same_result(inst, mode)
+
+
 def test_join_nodes_count_against_the_cap():
     inst = delivery_demo_instance()
     search = _Search(inst=inst, mode=MODE_WINDOW_TOLERANT, cap=DEFAULT_MAX_NODES)
     _timeline_table(search)
     # The demo's three identical vehicles share one timeline list.  The join
     # meets each plan once up to their relabelling, and still needs
-    # thousands of nodes on top of generating the list; the relabellings
-    # of the optima are expanded after it and place no node.
+    # thousands of nodes on top of generating the list; the 18 optima are
+    # relabellings of its canonical plans, one node each.
     assert search.nodes == 322
-    with pytest.raises(SearchCapExceeded, match="node cap of 3175"):
-        enumerate_optimal_routes(inst, max_nodes=3_175)
-    best, plans = enumerate_optimal_routes(inst, max_nodes=3_176)
+    with pytest.raises(SearchCapExceeded, match="node cap of 3193"):
+        enumerate_optimal_routes(inst, max_nodes=3_193)
+    best, plans = enumerate_optimal_routes(inst, max_nodes=3_194)
     assert best == pytest.approx(24.5)
     assert len(plans) == 18
 
