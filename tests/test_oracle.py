@@ -282,6 +282,11 @@ def test_a_dozen_identical_vehicles_expand_only_distinct_relabellings(mode):
     _same_result(inst, mode)
 
 
+def test_an_unknown_mode_is_refused():
+    with pytest.raises(ValueError, match="unknown mode 'lenient'"):
+        enumerate_optimal_routes(delivery_demo_instance(), mode="lenient")
+
+
 def test_join_nodes_count_against_the_cap():
     inst = delivery_demo_instance()
     search = _Search(inst=inst, mode=MODE_WINDOW_TOLERANT, cap=DEFAULT_MAX_NODES)
