@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -196,7 +197,7 @@ class Instance:
     def stateful(self) -> bool:
         return self.model_kind in STATEFUL_KINDS
 
-    @property
+    @cached_property
     def depot_cities(self) -> frozenset[int]:
         cities: set[int] = set()
         for v in self.vehicles:
@@ -205,7 +206,7 @@ class Instance:
                 cities.add(v.end_city)
         return frozenset(cities)
 
-    @property
+    @cached_property
     def customer_cities(self) -> tuple[int, ...]:
         return tuple(a for a in range(1, self.n_cities + 1) if a not in self.depot_cities)
 

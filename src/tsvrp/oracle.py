@@ -12,19 +12,22 @@ search then joins one timeline per vehicle, in vehicle id order, by
 branch and bound: each vehicle tries its timelines cheapest first, skips
 those that claim a customer an earlier vehicle took, and stops once the
 partial cost plus the cheapest timeline of every later vehicle exceeds
-the best plan so far.
+the best plan so far by more than ``_TIE_TOL``.
+
+The optimum is the cheapest feasible plan's cost, and the optimal plans
+are every feasible plan within ``_TIE_TOL`` of it, the rule
+:func:`~tsvrp.samplers.exhaustive_solve` applies to energies.
 
 Vehicles that share a timeline list are interchangeable, adjacent in id
 order or not, so the join meets each plan once up to their relabelling:
 within such a group each vehicle takes a timeline at or after the
 previous member's position in the sorted list (at, too, since two
 vehicles may both take a timeline that claims no customer).  After the
-join, each canonical plan near the optimum is expanded into every
-distinct relabelling, each under its own generation-order key, so the
-near-tie replay sees every relabelling of those plans.  Every complete
-plan is vetted by the same checks used for decoded samples, so oracle
-and checker can never drift apart: the per-vehicle checks vetted each
-timeline of the table, and the fleet checks run on each plan.
+join, each canonical plan within ``_TIE_TOL`` of the cheapest is
+expanded into every distinct relabelling.  Every complete plan is vetted
+by the same checks used for decoded samples, so oracle and checker can
+never drift apart: the per-vehicle checks vetted each timeline of the
+table, and the fleet checks run on each plan.
 
 The node budget counts one node per timeline extension step, one per
 join node (a timeline placed into a partial plan) and one per expanded
@@ -93,8 +96,9 @@ def _slot_choices(search: _Search, vehicle: Vehicle, city: int, nominal: int) ->
     return [tau for tau in later if not inst.windows.forbids(vehicle.id, tau, city)]
 
 
-def _timelines(search: _Search, vehicle: Vehicle, remaining: frozenset[int]):
-    """Yield (events, claimed_customers, cost) for one vehicle.
+def _timelines(search: _Search, vehicle: Vehicle, bit: dict[int, int]):
+    """Yield (events, claimed, cost) for one vehicle, ``claimed`` a mask
+    over the customers' bits in ``bit``.
 
     Every event is one search node.  A single-state timeline chains legs
     between plain events; a two-state timeline puts a stay between each
@@ -112,17 +116,17 @@ def _timelines(search: _Search, vehicle: Vehicle, remaining: frozenset[int]):
     stateful = inst.stateful
     arrival = ARRIVAL if stateful else PLAIN
 
-    def extend(events: list[Event], claimed: frozenset[int], cost: float):
+    def extend(events: list[Event], claimed: int, cost: float):
         search.tick()
         tau, city, state, capacity = events[-1]
         if state == DEPARTURE:
             if e is None:
-                yield list(events), claimed, cost  # driver clocks out mid-road
+                yield tuple(events), claimed, cost  # driver clocks out mid-road
             elif e == vehicle.start_city and len(events) == 1:
-                yield list(events), claimed, cost  # home vehicle that never moves
+                yield tuple(events), claimed, cost  # home vehicle that never moves
         else:
             if e is None or city == e:
-                yield list(events), claimed, cost
+                yield tuple(events), claimed, cost
             if city == e or state == ARRIVAL and city == vehicle.start_city:
                 return  # the trip ends at the destination, or the tour closed
         if tau >= t:
@@ -134,7 +138,7 @@ def _timelines(search: _Search, vehicle: Vehicle, remaining: frozenset[int]):
                 yield from extend(events, claimed, cost)
                 events.pop()
             return
-        targets = set(remaining - claimed)
+        targets = {a for a, b in bit.items() if not claimed & b}
         if e is not None:
             targets.add(e)
         elif stateful:
@@ -149,18 +153,17 @@ def _timelines(search: _Search, vehicle: Vehicle, remaining: frozenset[int]):
             leg_cost = inst.cost(tau, a, city)
             for arr in _slot_choices(search, vehicle, a, tau + nominal):
                 events.append(Event(arr, a, arrival, cap))
-                newly = claimed | {a} if a in remaining else claimed
-                yield from extend(events, newly, cost + leg_cost)
+                yield from extend(events, claimed | bit.get(a, 0), cost + leg_cost)
                 events.pop()
 
     start_state = DEPARTURE if stateful else PLAIN
     start = Event(1, vehicle.start_city, start_state, tuple(vehicle.start_capacity))
-    yield from extend([start], frozenset(), 0.0)
+    yield from extend([start], 0, 0.0)
 
 
 class _Timeline(NamedTuple):
     cost: float
-    order: int  # position in generation order, which fixes tie-breaking
+    order: int  # position in generation order, the sort's tie-break
     claimed: int  # bitmask over the instance's customer cities
     events: tuple[Event, ...]
 
@@ -188,22 +191,17 @@ def _timeline_table(search: _Search) -> list[list[_Timeline]]:
     customers are exactly those whose claimed set lies inside it.
     """
     inst = search.inst
-    customers = inst.customer_cities
-    bit = {city: 1 << k for k, city in enumerate(customers)}
+    bit = {city: 1 << k for k, city in enumerate(inst.customer_cities)}
     shared: dict[tuple, list[_Timeline]] = {}
     table = []
     for vehicle in inst.vehicles:
         key = _signature(inst, vehicle)
         if key not in shared:
             timelines = []
-            for order, (events, claimed, cost) in enumerate(
-                _timelines(search, vehicle, frozenset(customers))
-            ):
-                events = tuple(events)
+            for order, (events, claimed, cost) in enumerate(_timelines(search, vehicle, bit)):
                 if _vehicle_checks(events, vehicle, inst, search.mode):
                     continue  # any plan holding this timeline is infeasible
-                mask = sum(bit[city] for city in claimed)
-                timelines.append(_Timeline(cost, order, mask, events))
+                timelines.append(_Timeline(cost, order, claimed, events))
             timelines.sort()
             shared[key] = timelines
         table.append(shared[key])
@@ -246,15 +244,17 @@ def enumerate_optimal_routes(
 ) -> tuple[float | None, tuple[RoutePlan, ...]]:
     """Exhaustively search all routings; return the cheapest feasible plans.
 
-    Vehicles take one precomputed timeline each, in id order, by branch
-    and bound over disjoint customer sets, each plan once up to the
-    relabelling of vehicles that share a timeline list; every complete
-    candidate and every relabelling of a near-optimal one is validated
-    with the checks behind :func:`check_feasibility` before it may enter
-    the optimum set.  Returns ``(None, ())`` when nothing feasible
-    exists; raises :class:`SearchCapExceeded` past ``max_nodes`` search
-    nodes, counting every timeline extension step, every join node and
-    every expanded relabelling.
+    Returns the cheapest feasible plan's cost and every feasible plan,
+    each relabelling of identical vehicles included, whose cost lies
+    within ``_TIE_TOL`` of it.  Vehicles take one precomputed timeline
+    each, in id order, by branch and bound over disjoint customer sets,
+    each plan once up to the relabelling of vehicles that share a
+    timeline list; every complete candidate and every relabelling of a
+    near-optimal one is validated with the checks behind
+    :func:`check_feasibility` before it counts.  Returns ``(None, ())``
+    when nothing feasible exists; raises :class:`SearchCapExceeded` past
+    ``max_nodes`` search nodes, counting every timeline extension step,
+    every join node and every expanded relabelling.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -310,32 +310,20 @@ def enumerate_optimal_routes(
             picks.pop()
 
     join(0, (1 << len(inst.customer_cities)) - 1, 0.0)
+    if best is None:
+        return None, ()
 
-    # The replay keeps only plans within _TIE_TOL of a cost within
-    # _TIE_TOL of the cheapest, so only those canonical plans are expanded.
-    # Which of them it keeps can still turn on dearer candidates where
-    # costs chain less than _TIE_TOL apart; on such inputs the set may
-    # differ from one taken over every relabelling of every plan.
-    found: list[tuple[tuple[int, ...], float, RoutePlan]] = []
+    # Relabelling may reorder the float sum of a plan's legs, so each
+    # expanded plan is priced on its own.
+    found: list[tuple[float, RoutePlan]] = []
     for positions, cost in canonical:
-        if cost > best + 2 * _TIE_TOL:
+        if cost > best + _TIE_TOL:
             continue
         for relabelled in _relabellings(positions, groups.values()):
             search.tick()
             plan = plan_of(relabelled)
             if not _fleet_checks(plan, inst):
-                key = tuple(table[slot][pos].order for slot, pos in enumerate(relabelled))
-                found.append((key, route_cost(plan, inst, check=False), plan))
-
-    # Replay the candidates in the order a depth-first search over the
-    # generation order meets them, so near-ties resolve the same way.
-    best_cost: float | None = None
-    best_plans: set[RoutePlan] = set()
-    for _, cost, plan in sorted(found, key=lambda item: item[0]):
-        if best_cost is None or cost < best_cost - _TIE_TOL:
-            best_cost = cost
-            best_plans = {plan}
-        elif abs(cost - best_cost) <= _TIE_TOL:
-            best_plans.add(plan)
-    ordered = tuple(sorted(best_plans, key=lambda p: p.canonical()))
-    return best_cost, ordered
+                found.append((route_cost(plan, inst, check=False), plan))
+    best = min(cost for cost, _ in found)
+    plans = sorted((plan for cost, plan in found if cost <= best + _TIE_TOL), key=lambda p: p.canonical())
+    return best, tuple(plans)

@@ -6,6 +6,7 @@ calls (``QuboModel.dense_arrays`` and ``energies``, ``SampleSet.verify``,
 ``VariableCatalogue.fixed``, ``build_model(catalogue=)``).  One short
 traced corpus run exercises all of them.  It runs on a copy of ``src``
 and ``benchmark`` so the checkout's ``.bench_out`` stays untouched.
+The delivery workload's stored scenario must still be the demo's.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from tsvrp import serialize_instance
+from tsvrp.demo import delivery_demo_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,3 +32,9 @@ def test_traced_corpus_run_is_correct(tmp_path):
     last = json.loads(done.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, done.stderr
     assert last["attempted"] > 0
+
+
+def test_reference_scenario_matches_the_demo():
+    # The comparison `benchmark/regen_reference.py --check` makes.
+    stored = (ROOT / "benchmark" / "reference" / "delivery.json").read_text(encoding="utf-8")
+    assert stored == serialize_instance(delivery_demo_instance()) + "\n"

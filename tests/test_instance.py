@@ -58,6 +58,13 @@ def test_parse_minimal_instance():
     assert inst.duration(1, 1, 2) == 2  # 25 minutes over a 20-minute grid
 
 
+def test_depot_and_customer_cities_are_computed_once():
+    inst = parse_instance(json.dumps(minimal_document()))
+    assert inst.depot_cities == frozenset({1}) and inst.customer_cities == (2,)
+    assert inst.depot_cities is inst.depot_cities
+    assert inst.customer_cities is inst.customer_cities
+
+
 def test_parse_rejects_zero_duration():
     doc = minimal_document(raw_minutes=[[[0.0, 0.0], [25.0, 0.0]]])
     with pytest.raises(InstanceError, match="duration must be ≥ 1"):

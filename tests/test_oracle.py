@@ -4,14 +4,15 @@
 offers every slot from the nominal one to T in window-tolerant mode, and
 its two-state tours go on past an arrival back at the start.  Filtered
 by the per-vehicle checker, it must give exactly the oracle's timeline
-table, in the same relative order.  ``_reference_search`` is the earlier
-per-partial-assignment search over that generator: for every assignment
-of vehicles 1..k it regenerates the timelines of vehicle k+1 under the
-customers still open, and folds every feasible complete plan into the
-optimum set in depth-first order.  The join must return the same optimal
-cost and the same plans, also on fleets of identical vehicles, whose
-relabellings it expands after the search.  Hand-built instances pin each
-prune in both modes.
+table, in the same relative order.  ``_reference_search`` is a brute
+force over that generator: for every assignment of vehicles 1..k it
+regenerates the timelines of vehicle k+1 under the customers still open,
+collects every feasible complete plan, and keeps the cheapest cost and
+every plan within ``_TIE_TOL`` of it.  The join must return the same
+optimal cost and the same plans, also on fleets of identical vehicles,
+whose relabellings it expands after the search, and where plan costs
+chain less than ``_TIE_TOL`` apart.  Hand-built instances pin each prune
+in both modes.
 """
 
 from __future__ import annotations
@@ -104,35 +105,26 @@ def _reference_timelines(inst, mode, vehicle, remaining):
 
 
 def _reference_search(inst, mode):
-    best_cost = None
-    best_plans: set[RoutePlan] = set()
+    feasible: list[tuple[float, RoutePlan]] = []
 
-    def assign(vehicle_slot, remaining, acc, acc_cost):
-        nonlocal best_cost
-        if best_cost is not None and acc_cost > best_cost + _TIE_TOL:
-            return
+    def assign(vehicle_slot, remaining, acc):
         if vehicle_slot == len(inst.vehicles):
-            if remaining:
-                return
             plan = RoutePlan(events={i + 1: tuple(evts) for i, evts in enumerate(acc)})
-            if not check_feasibility(plan, inst, mode=mode).feasible:
-                return
-            cost = route_cost(plan, inst, check=False)
-            if best_cost is None or cost < best_cost - _TIE_TOL:
-                best_cost = cost
-                best_plans.clear()
-                best_plans.add(plan)
-            elif abs(cost - best_cost) <= _TIE_TOL:
-                best_plans.add(plan)
+            if not remaining and check_feasibility(plan, inst, mode=mode).feasible:
+                feasible.append((route_cost(plan, inst, check=False), plan))
             return
         vehicle = inst.vehicles[vehicle_slot]
-        for events, claimed, cost in _reference_timelines(inst, mode, vehicle, remaining):
+        for events, claimed, _ in _reference_timelines(inst, mode, vehicle, remaining):
             acc.append(events)
-            assign(vehicle_slot + 1, remaining - claimed, acc, acc_cost + cost)
+            assign(vehicle_slot + 1, remaining - claimed, acc)
             acc.pop()
 
-    assign(0, frozenset(inst.customer_cities), [], 0.0)
-    return best_cost, tuple(sorted(best_plans, key=lambda p: p.canonical()))
+    assign(0, frozenset(inst.customer_cities), [])
+    if not feasible:
+        return None, ()
+    best = min(cost for cost, _ in feasible)
+    plans = sorted((plan for cost, plan in feasible if cost <= best + _TIE_TOL), key=lambda p: p.canonical())
+    return best, tuple(plans)
 
 
 def _same_result(inst, mode):
@@ -196,17 +188,33 @@ def _plain_instance(costs, vehicles, windows=()):
 
 def test_near_tie_resolves_in_generation_order():
     # 1->2->3 costs 0.1 + 0.2 = 0.30000000000000004 and is generated
-    # first; 1->3->2 costs 0.3 + 0.0 and sorts first by cost.  Both are
-    # optimal within the tie tolerance, and the reported optimum is the
-    # cost of the plan a depth-first search meets first.
+    # first; 1->3->2 costs 0.3 + 0.0.  Both are optimal within the tie
+    # tolerance, and the reported optimum is the cheaper cost whatever
+    # the generation order.
     costs = np.full((2, 3, 3), 5.0)
     costs[0, 1, 0], costs[1, 2, 1] = 0.1, 0.2
     costs[0, 2, 0], costs[1, 1, 2] = 0.3, 0.0
     inst = _plain_instance(costs, (Vehicle(id=1, start_city=1),))
     best, plans = enumerate_optimal_routes(inst)
-    assert best == 0.1 + 0.2
+    assert best == 0.3
     assert len(plans) == 2
     _same_result(inst, MODE_WINDOW_TOLERANT)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_plans_within_the_tolerance_of_the_cheapest_are_optimal(mode):
+    # Three routes chain 0.9e-9 apart: 1-2-4-3 costs 3, 1-2-3-4 costs
+    # 3 + 0.9e-9 and is generated first, 1-3-2-4 costs 3 + 1.8e-9.  Only
+    # the first two lie within the tolerance of the cheapest.
+    costs = np.full((3, 4, 4), 10.0)
+    costs[0, 1, 0] = costs[0, 2, 0] = 1.0
+    costs[1, 2, 1] = costs[1, 3, 1] = costs[1, 1, 2] = 1.0
+    costs[2, 3, 2], costs[2, 2, 3], costs[2, 3, 1] = 1.0 + 0.9e-9, 1.0, 1.0 + 1.8e-9
+    inst = _plain_instance(costs, (Vehicle(id=1, start_city=1),))
+    best, plans = enumerate_optimal_routes(inst, mode=mode)
+    assert best == 3.0
+    assert [[e.city for e in plan.events[1]] for plan in plans] == [[1, 2, 3, 4], [1, 2, 4, 3]]
+    _same_result(inst, mode)
 
 
 def test_vehicles_differing_only_in_windows_keep_their_own_timelines():
@@ -320,7 +328,8 @@ def _two_city(kind, t, end_city=None, durations=None, windows=()):
 def _generated(inst, mode):
     search = _Search(inst=inst, mode=mode, cap=DEFAULT_MAX_NODES)
     vehicle = inst.vehicles[0]
-    return [tuple(events) for events, _, _ in _timelines(search, vehicle, frozenset(inst.customer_cities))]
+    bit = {city: 1 << k for k, city in enumerate(inst.customer_cities)}
+    return [events for events, _, _ in _timelines(search, vehicle, bit)]
 
 
 def _pruned(inst, mode):
