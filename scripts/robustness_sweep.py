@@ -23,7 +23,9 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+# This checkout's sources first, then its tests' instance generator.
+CHECKOUT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "tests")]
 
 from strategies import random_instance  # noqa: E402
 

@@ -7,9 +7,14 @@ compares the best feasible plan with the classical optimum.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
-from tsvrp import (
+# This checkout's sources, before any installed copy.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tsvrp import (  # noqa: E402
     AnnealSchedule,
     build_model,
     enumerate_optimal_routes,
@@ -17,8 +22,8 @@ from tsvrp import (
     standard_parameters,
     stats,
 )
-from tsvrp.decoder import evaluate_bits
-from tsvrp.demo import DEMO_LAMBDA, delivery_demo_instance
+from tsvrp.decoder import evaluate_bits  # noqa: E402
+from tsvrp.demo import DEMO_LAMBDA, delivery_demo_instance  # noqa: E402
 
 
 def main() -> None:

@@ -7,9 +7,14 @@ point is the trend, not the final figure.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from tsvrp import AnnealSchedule, build_model, simulated_anneal, standard_parameters, stats
-from tsvrp.demo import DEMO_LAMBDA, delivery_demo_instance
+# This checkout's sources, before any installed copy.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tsvrp import AnnealSchedule, build_model, simulated_anneal, standard_parameters, stats  # noqa: E402
+from tsvrp.demo import DEMO_LAMBDA, delivery_demo_instance  # noqa: E402
 
 
 def main() -> None:

@@ -22,8 +22,8 @@
  * `width` rows of n in variable order.  A step flips its variable when
  * dE < thr.  spin (+1 or -1), field, best_spin and energy (current, best)
  * are the group's chains-first state.  The group shares trajectory, the
- * lowest best energy over its chains after each sweep (sweeps + 1
- * entries), and accepted, the accepted flips of each sweep.  start is
+ * lowest best energy over its chains before the first sweep and after
+ * each sweep, and accepted, the accepted flips of each sweep.  start is
  * scratch for n variables.
  *
  * After a flip, each neighbour field takes w s in its own add, where s is
@@ -31,7 +31,7 @@
  * nothing, so the energy cannot reach a new low there.
  */
 void anneal_chain(int64_t n, const int64_t *nbr_start, const int64_t *nbr_row,
-                  const double *nbr_w, int64_t sweeps, const double *thr,
+                  const double *nbr_w, const double *thr,
                   double *start, double *spin, double *field,
                   double *best_spin, double *energy, double *trajectory,
                   int64_t *accepted, int64_t c, int64_t t0, int64_t width)

@@ -538,12 +538,11 @@ def _dense_array(raw, shape: tuple[int, ...], what: str) -> np.ndarray:
     out = np.empty(len(flat), dtype=float)
     for pos, value in enumerate(flat):
         if value is None:
-            if city_square:
-                idx = np.unravel_index(pos, shape)
-                if idx[1] == idx[2]:
-                    out[pos] = 0.0
-                    continue
-            raise InstanceError(f"{what} has a missing entry at position {np.unravel_index(pos, shape)}")
+            idx = tuple(map(int, np.unravel_index(pos, shape)))
+            if city_square and idx[1] == idx[2]:
+                out[pos] = 0.0
+                continue
+            raise InstanceError(f"{what} has a missing entry at position {idx}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InstanceError(f"{what} has a non-numeric entry {value!r}")
         try:

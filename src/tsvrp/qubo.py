@@ -385,26 +385,21 @@ def _entries(*columns: np.ndarray) -> str:
     return "], [".join(map(", ".join, zip(*spelled)))
 
 
-def _indented(entries: str) -> str:
-    """The rows in ``json.dump(indent=2)``'s layout as a top-level value.
-    Numbers hold no comma, bracket or space, so the separators are unambiguous."""
-    if not entries:
-        return "[]"
-    rows = entries.replace(", ", ",\n      ").replace("],\n      [", "\n    ],\n    [\n      ")
-    return f"[\n    [\n      {rows}\n    ]\n  ]"
+def _rows(entries: str) -> str:
+    """The rows as a top-level value, one ``[i, c]`` per line (numbers hold no bracket)."""
+    rows = entries.replace("], [", "],\n    [")
+    return f"[\n    [{rows}]\n  ]" if entries else "[]"
 
 
 def _variables(keys: Sequence[VariableKey]) -> str:
-    """One object per free key, in ``json.dump(indent=2)``'s layout as a top-level value."""
-    if not keys:
-        return "[]"
-    caps = {c: json.dumps(list(c), indent=2).replace("\n", "\n      ") for c in {k.capacity for k in keys}}
-    rows = (
-        f'    {{\n      "capacity": {caps[k.capacity]},\n      "city": {k.city},\n      "index": {idx},\n'
-        f'      "state": {json.dumps(k.state)},\n      "tau": {k.tau},\n      "vehicle": {k.vehicle}\n    }}'
+    """One compact object per free key, one per line, as a top-level value."""
+    caps = {c: json.dumps(list(c)) for c in {k.capacity for k in keys}}
+    rows = ",\n    ".join(
+        f'{{"capacity": {caps[k.capacity]}, "city": {k.city}, "index": {idx}, '
+        f'"state": "{k.state}", "tau": {k.tau}, "vehicle": {k.vehicle}}}'
         for idx, k in enumerate(keys)
     )
-    return "[\n" + ",\n".join(rows) + "\n  ]"
+    return f"[\n    {rows}\n  ]" if keys else "[]"
 
 
 def ising_energy(
@@ -419,6 +414,6 @@ def ising_energy(
 def write_model(model: QuboModel, path, extra: dict | None = None) -> None:
     """Write the model file; its entry rows come from the text the fingerprint hashed."""
     linear, quadratic, ref = model._entry_text
-    rendered = {"linear": _indented(linear), "quadratic": _indented(quadratic),
+    rendered = {"linear": _rows(linear), "quadratic": _rows(quadratic),
                 "variables": _variables(model.catalogue.free_keys)}
     write_json(path, {"constant": model.constant, "model_ref": ref, "n_vars": model.n_vars, **(extra or {})}, rendered)

@@ -340,7 +340,7 @@ def _compiled_kernel():
         except (OSError, subprocess.SubprocessError):
             return None
     count, pointer = ctypes.c_int64, ctypes.c_void_p
-    function.argtypes = [count, *[pointer] * 3, count, *[pointer] * 8, count, count, count]
+    function.argtypes = [count, *[pointer] * 11, count, count, count]
     function.restype = None
     return function
 
@@ -579,7 +579,7 @@ def _compiled_sweeps(job: _AnnealJob, rngs, block: int, spin, field, cur):
     accepted = np.zeros(sweeps, dtype=np.int64)
     tape, start = np.empty((block, n)), np.empty(n)
     arrays = (tape, start, spin, field, best_spin, energy, trajectory, accepted)
-    run = partial(job.kernel, sweeps, *(a.ctypes.data_as(ctypes.c_void_p) for a in arrays))
+    run = partial(job.kernel, *(a.ctypes.data_as(ctypes.c_void_p) for a in arrays))
     for c, rng in enumerate(rngs):
         for t0 in range(0, sweeps, block):
             width = min(block, sweeps - t0)

@@ -921,3 +921,14 @@ def test_plan_fuzz_never_ends_in_internal_error(tmp_path_factory, triple):
 @given(triple=_plan_fuzz(three_city_dense(), False, True) | _plan_fuzz(mcsvrp_two_city(), True, True))
 def test_plan_field_fuzz_never_ends_in_internal_error(tmp_path_factory, triple):
     _check_fuzz_example(tmp_path_factory, triple)
+
+
+def test_build_names_a_missing_matrix_entry_by_plain_ints(tmp_path, capsys):
+    doc = instance_to_document(mcsvrp_two_city().instance)
+    doc["raw_minutes"][0][1][0] = None  # off the city diagonal
+    path = tmp_path / "holed.json"
+    path.write_text(json.dumps(doc))
+    code = main(["build", "--instance", str(path), "--lambda", "1.0", "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "raw_minutes has a missing entry at position (0, 1, 0)" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()

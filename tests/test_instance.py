@@ -15,13 +15,15 @@ from tsvrp import (
     Vehicle,
     WindowSet,
     apply_priority,
+    build_model,
     discretize_durations,
     enumerate_optimal_routes,
     parse_instance,
     serialize_instance,
+    standard_parameters,
     validate_instance,
 )
-from tsvrp.demo import delivery_demo_instance
+from tsvrp.demo import DEMO_LAMBDA, delivery_demo_instance
 from tsvrp.instance import (
     CAPACITATED_KINDS,
     STATEFUL_KINDS,
@@ -30,7 +32,7 @@ from tsvrp.instance import (
     instance_to_document,
 )
 
-from cases import load_cases
+from cases import Case, load_cases
 from strategies import KINDS, random_instance
 
 
@@ -89,6 +91,29 @@ def test_parse_rejects_missing_matrix_entry():
     doc = minimal_document(costs=[[[0.0, None], [7.0, 0.0]]])
     with pytest.raises(InstanceError, match="missing entry"):
         parse_instance(json.dumps(doc))
+
+
+def _with_diagonals(doc: dict, value) -> dict:
+    """The document with ``value`` at every city-diagonal entry of the
+    per-interval city matrices."""
+    doc = json.loads(json.dumps(doc))
+    for key in ("costs", "raw_minutes", "variations"):
+        for layer in doc.get(key, []):
+            for a, row in enumerate(layer):
+                row[a] = [value] * len(row[a]) if key == "variations" else value
+    return doc
+
+
+def test_null_on_the_city_diagonal_reads_as_zero():
+    # The corpus holds every kind, capacitated ones with non-zero diagonal
+    # variations among them; the model never reads a diagonal entry.
+    for case in [*load_cases(), Case("demo", delivery_demo_instance(), DEMO_LAMBDA)]:
+        doc = instance_to_document(case.instance)
+        zero = parse_instance(json.dumps(_with_diagonals(doc, 0)))
+        null = parse_instance(json.dumps(_with_diagonals(doc, None)))
+        assert null == zero, case.name
+        built = [build_model(inst, standard_parameters(inst.costs, case.lam)) for inst in (null, case.instance)]
+        assert built[0].fingerprint() == built[1].fingerprint(), case.name
 
 
 def test_parse_rejects_capacity_bound_inversion():
@@ -508,6 +533,15 @@ def test_round_trip_identity(seed):
 def test_document_round_trip_on_minimal():
     inst = parse_instance(json.dumps(minimal_document()))
     assert instance_from_document(instance_to_document(inst)) == inst
+
+
+def test_vehicle_type_tag_survives_a_round_trip():
+    doc = minimal_document(vehicles=[{"start": 1, "q": [], "Q": [], "type": "van"}])
+    inst = parse_instance(json.dumps(doc))
+    assert inst.vehicles[0].type_tag == "van"
+    again = parse_instance(serialize_instance(inst))
+    assert again == inst and again.vehicles[0].type_tag == "van"
+    assert json.loads(serialize_instance(again))["vehicles"] == doc["vehicles"]
 
 
 def test_parse_rejects_stays_on_single_state_kind():

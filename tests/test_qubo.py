@@ -413,9 +413,11 @@ def test_model_export_round_trip(tmp_path):
 # -- the writer against the json.dump document it replaced ---------------------
 #
 # ``_reference_document`` is the earlier ``QuboModel.to_document``: entry
-# lists built per number, hashed by ``json.dumps(sort_keys=True)`` and
-# written by ``json.dump(indent=2, sort_keys=True)``.  The writer renders
-# every entry once as text and must give the same bytes and fingerprint.
+# lists built per number and hashed by ``json.dumps(sort_keys=True)``.
+# ``_reference_text`` is its file: ``json.dumps(indent=2, sort_keys=True)``,
+# except that each ``linear``, ``quadratic`` and ``variables`` entry is
+# ``json.dumps`` of it on one line.  The writer renders every entry once as
+# text and must give the same bytes and fingerprint.
 
 _RUN_CONFIG = {"run_config": {"lambda": 1.5, "out": "m", "seed": None, "tags": ["a", "é\n"], "nested": {}}}
 
@@ -448,10 +450,19 @@ def _reference_document(model: QuboModel) -> dict:
     }
 
 
+def _reference_text(doc: dict) -> str:
+    listed = ("linear", "quadratic", "variables")
+    text = json.dumps({**doc, **{k: f"<{k}>" for k in listed}}, indent=2, sort_keys=True) + "\n"
+    for k in listed:
+        rows = ",\n".join(f"    {json.dumps(entry, sort_keys=True)}" for entry in doc[k])
+        text = text.replace(f'"<{k}>"', f"[\n{rows}\n  ]" if rows else "[]")
+    return text
+
+
 def _assert_writer_matches_reference(model: QuboModel, path) -> dict:
     expected = _reference_document(model)
     write_model(model, path, extra=_RUN_CONFIG)
-    assert path.read_text(encoding="utf-8") == json.dumps({**expected, **_RUN_CONFIG}, indent=2, sort_keys=True) + "\n"
+    assert path.read_text(encoding="utf-8") == _reference_text({**expected, **_RUN_CONFIG})
     assert model.fingerprint() == expected["model_ref"]
     return expected
 

@@ -921,3 +921,24 @@ def test_shard_ranges_cover_every_chain_once(monkeypatch):
     assert samplers_module._shard_ranges(1023) == [(0, 1023)]
     monkeypatch.setattr(samplers_module, "_available_cpus", lambda: 3)
     assert samplers_module._shard_ranges(10_000) == [(0, 3333), (3333, 6666), (6666, 10_000)]
+
+
+def test_every_chain_stays_here_while_another_thread_runs(monkeypatch):
+    # fork copies only the calling thread, so with a second thread alive
+    # even a call that would take two shards runs in this process.
+    import threading
+
+    assert threading.active_count() == 1
+    _force_shards(monkeypatch, 2)
+    assert samplers_module._shard_ranges(6) == [(0, 3), (3, 6)]
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert threading.active_count() == 2
+        assert samplers_module._shard_ranges(6) == [(0, 6)]
+        _assert_same_anneal(demo_model(), AnnealSchedule(sweeps=9, restarts=6, seed=20240817))
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
